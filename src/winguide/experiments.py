@@ -27,7 +27,14 @@ import numpy as np
 from .asymptotics import AsymptoticPrediction, decay_params, double_prediction, simple_prediction
 from .assembly import basis_overlap_gram
 from .errors import InsufficientDataError, ValidationError
-from .geometry import Geometry, SolverSettings, WindowSpec, parse_settings, serialize_problem
+from .geometry import (
+    Geometry,
+    SolverSettings,
+    WindowSpec,
+    _number,
+    parse_settings,
+    serialize_problem,
+)
 from .waveguide import compute_modes, solve_U
 
 SCHEMA_VERSION = 1
@@ -206,7 +213,7 @@ def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], S
     for key in ("a_minus", "a_plus", "d"):
         if key not in raw:
             raise ValidationError(f"sweep config requires '{key}'")
-    config = SweepConfig(a_minus=float(raw["a_minus"]), a_plus=float(raw["a_plus"]), d=float(raw["d"]))
+    config = SweepConfig(**{key: _number(raw[key], key) for key in ("a_minus", "a_plus", "d")})
     Geometry(d=config.d, windows=(WindowSpec(0.0, config.a_minus),))
     if "case" in raw and raw["case"] != config.case:
         raise ValidationError(
@@ -215,7 +222,7 @@ def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], S
     l_raw = raw.get("l_values", [])
     if not isinstance(l_raw, list) or not l_raw:
         raise ValidationError("sweep config requires a non-empty 'l_values' list")
-    l_values = tuple(float(v) for v in l_raw)
+    l_values = tuple(_number(v, f"l_values[{i}]") for i, v in enumerate(l_raw))
     settings_raw = raw.get("settings", {})
     if not isinstance(settings_raw, dict):
         raise ValidationError("settings must be an object")

@@ -17,7 +17,7 @@ from .errors import ValidationError
 GAP_MIN = 1e-6
 
 _SETTINGS_KEYS = {"basis_order", "threshold_margin", "lambda_floor", "quadrature", "scan"}
-_QUAD_KEYS = {"xi_max", "panel_points"}
+_QUAD_KEYS = {"xi_max", "panel_points", "panel_width"}
 _SCAN_KEYS = {"grid_step", "bisect_tol"}
 
 
@@ -145,6 +145,8 @@ def parse_settings(raw: dict) -> SolverSettings:
         if isinstance(p, bool) or not isinstance(p, int):
             raise ValidationError(f"panel_points must be an integer, got {p!r}")
         kwargs["panel_points"] = p
+    if "panel_width" in quad:
+        kwargs["panel_width"] = _number(quad["panel_width"], "settings.quadrature.panel_width")
     scan = raw.get("scan", {})
     if not isinstance(scan, dict):
         raise ValidationError("settings.scan must be an object")
@@ -231,7 +233,11 @@ def serialize_problem(geometry: Geometry, settings: SolverSettings) -> dict:
             "basis_order": settings.basis_order,
             "threshold_margin": settings.threshold_margin,
             "lambda_floor": settings.lambda_floor,
-            "quadrature": {"xi_max": settings.xi_max, "panel_points": settings.panel_points},
+            "quadrature": {
+                "xi_max": settings.xi_max,
+                "panel_points": settings.panel_points,
+                "panel_width": settings.panel_width,
+            },
             "scan": {"grid_step": settings.grid_step, "bisect_tol": settings.bisect_tol},
         },
     }

@@ -139,6 +139,20 @@ def test_sweep_bad_l_list(double_cfg, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"a_minus": "x"}, {"l_values": ["a"]}, {"d": None}, {"a_minus": True}],
+)
+def test_experiment_config_bad_numbers_exit_two(tmp_path, capsys, override):
+    document = {"case": "double", "a_minus": 1.0, "a_plus": 1.0, "d": 2.0, "l_values": [6.0]}
+    document.update(override)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    for command in ("verify", "sweep"):
+        assert main([command, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_oracle_json_strict(single_cfg, capsys):
     assert main(
         ["oracle", single_cfg, "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"]

@@ -1,10 +1,12 @@
 """Tests for the finite-difference oracle and its Richardson extrapolation."""
 
+import json
 import math
 
 import pytest
 
 import oracles
+from winguide.cli import main
 from winguide.errors import InsufficientDataError, ValidationError
 from winguide.fd_oracle import (
     Extrapolation,
@@ -15,6 +17,14 @@ from winguide.fd_oracle import (
 from winguide.geometry import Geometry, WindowSpec
 
 LAMBDA1_A1_D2 = 0.934889771227259
+
+# Per-level ground eigenvalues at a = 1.5, d = pi, h = 0.1, L = 12 (h = 0.1 and
+# 0.05), from the earlier banded shifted-subspace-iteration solver, printed by
+#   PYTHONPATH=src python3 -c "import math; from winguide.fd_oracle import *;
+#     from winguide.geometry import *; print(fd_eigenvalues(Geometry(d=math.pi,
+#     windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.1, L=12.0), 2, 2).levels)"
+# and also stored in winbench/reference.json ("fd_levels").
+LEVELS_A15_DPI = (0.6962737102767286, 0.6909811473436173)
 
 
 def test_gridspec_validation():
@@ -178,3 +188,51 @@ def test_richardson_input_validation():
         richardson_extrapolate([(0.4, 1.0), (0.2, float("nan"))])
     with pytest.raises(ValidationError):
         richardson_extrapolate([(0.4, 1.0), (-0.2, 0.9)])
+
+
+@pytest.fixture(scope="module")
+def oracle_a15_dpi():
+    geo = Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),))
+    return geo, fd_eigenvalues(geo, GridSpec(h=0.1, L=12.0), count=2, levels=2)
+
+
+def test_levels_match_banded_solver(oracle_a15_dpi):
+    _, res = oracle_a15_dpi
+    assert [h for h, _ in res.levels] == pytest.approx([0.1, 0.05], rel=1e-12)
+    for (_, vals), want in zip(res.levels, LEVELS_A15_DPI):
+        assert len(vals) == 1
+        assert vals[0] == pytest.approx(want, abs=1e-10)
+    for level in res.diagnostics["levels"]:
+        assert level["converged"] == 2
+        assert level["iterations"] > 0
+        assert level["residual_max"] < 1e-10
+
+
+def test_repeated_calls_bitwise_equal(oracle_a15_dpi):
+    geo, res = oracle_a15_dpi
+    again = fd_eigenvalues(geo, GridSpec(h=0.1, L=12.0), count=2, levels=2)
+    assert again.levels == res.levels
+
+
+def test_arpack_no_convergence_maps_to_exit_three(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    cfg = tmp_path / "single.json"
+    cfg.write_text(json.dumps({"d": 2.0, "windows": [{"center": 0.0, "half_width": 1.0}]}))
+    code = main(["oracle", str(cfg), "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_count_at_least_node_count_rejected():
+    # the validation rectangle at h = 0.1, L = 10 has 199 x 30 interior nodes;
+    # ARPACK needs count < nodes
+    geo = Geometry(d=1.0, windows=())
+    nodes = (round(20.0 / 0.1) - 1) * (round(math.pi / 0.1) - 1)
+    for count in (nodes, nodes + 1):
+        with pytest.raises(ValidationError):
+            fd_eigenvalues(geo, GridSpec(h=0.1, L=10.0), count=count, levels=1)

@@ -97,6 +97,16 @@ def test_parse_roundtrip_idempotent():
     assert serialize_problem(geometry2, settings2) == echoed
 
 
+def test_parse_roundtrip_keeps_panel_width():
+    settings = SolverSettings(panel_width=0.5)
+    geometry = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    echoed = serialize_problem(geometry, settings)
+    geometry2, settings2 = parse_problem(echoed)
+    assert settings2.panel_width == 0.5
+    assert (geometry2, settings2) == (geometry, settings)
+    assert serialize_problem(geometry2, settings2) == echoed
+
+
 def test_windows_sorted_by_center():
     geometry, _ = parse_problem(
         {
