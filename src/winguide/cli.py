@@ -25,7 +25,6 @@ from .errors import (
     InsufficientDataError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    RescanRequiredError,
     ResolventPoleError,
     ThresholdError,
     UnsupportedArgumentError,
@@ -50,7 +49,6 @@ _NUMERICAL_ERRORS = (
     InsufficientDataError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    RescanRequiredError,
     ResolventPoleError,
 )
 

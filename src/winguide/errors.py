@@ -31,10 +31,6 @@ class AccuracyError(WaveguideError):
         self.diagnostics = diagnostics or {}
 
 
-class RescanRequiredError(WaveguideError):
-    """Scan grid too coarse: a branch may cross zero twice within one cell."""
-
-
 class NotPositiveDefiniteError(WaveguideError):
     """Cholesky-based solve attempted on an indefinite matrix."""
 

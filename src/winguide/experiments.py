@@ -428,20 +428,21 @@ def sweep_l(config: SweepConfig, l_values, settings: SolverSettings | None = Non
         settings = SolverSettings()
     if not isinstance(config, SweepConfig):
         raise ValidationError(f"config must be a SweepConfig, got {type(config)!r}")
-    l_values = [float(l) for l in l_values]
+    l_values = _separated_l_values(config, l_values)
+    _, elements, _ = _build_elements(config, settings)
+    grams = _window_gram(config, settings.basis_order)
+    return [_sweep_one(config, elements, grams, l, settings) for l in l_values]
+
+
+def _separated_l_values(config: SweepConfig, l_values) -> list[float]:
+    """The l values in increasing order, all in the separated regime l >= max(a_minus, a_plus) + 1."""
+    l_values = sorted(float(l) for l in l_values)
     if not l_values:
         raise ValidationError("sweep needs at least one l value")
     l_min = max(config.a_minus, config.a_plus) + 1.0
-    for l in l_values:
-        if l < l_min:
-            raise ValidationError(f"l = {l} below the separated regime l >= {l_min}")
-
-    _, elements, _ = _build_elements(config, settings)
-    grams = _window_gram(config, settings.basis_order)
-    records = []
-    for l in sorted(l_values):
-        records.append(_sweep_one(config, elements, grams, l, settings))
-    return records
+    if l_values[0] < l_min:
+        raise ValidationError(f"l = {l_values[0]} below the separated regime l >= {l_min}")
+    return l_values
 
 
 def _sweep_one(config, elements, grams, l, settings) -> SweepRecord:
@@ -605,9 +606,10 @@ def verify_report(document) -> ReportBundle:
     aborting the bundle.
     """
     config, l_values, settings = parse_experiment_config(document)
+    l_values = _separated_l_values(config, l_values)
     singles, elements, u_entries = _build_elements(config, settings)
     grams = _window_gram(config, settings.basis_order)
-    records = [_sweep_one(config, elements, grams, l, settings) for l in sorted(l_values)]
+    records = [_sweep_one(config, elements, grams, l, settings) for l in l_values]
 
     single_windows = {}
     for side, half_width in (("minus", config.a_minus), ("plus", config.a_plus)):

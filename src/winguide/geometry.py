@@ -85,7 +85,6 @@ class SolverSettings:
     xi_max: float = 200.0
     panel_points: int = 24
     panel_width: float = 1.0
-    grid_step: float = 2e-3
     bisect_tol: float = 1e-12
 
     def __post_init__(self):
@@ -103,8 +102,8 @@ class SolverSettings:
             raise ValidationError("panel_points must be an integer >= 4")
         if self.panel_width <= 0:
             raise ValidationError("panel_width must be positive")
-        if self.grid_step <= 0 or self.bisect_tol <= 0:
-            raise ValidationError("scan parameters must be positive")
+        if self.bisect_tol <= 0:
+            raise ValidationError("bisect_tol must be positive")
 
     @property
     def lambda_max(self) -> float:
@@ -151,8 +150,8 @@ def parse_settings(raw: dict) -> SolverSettings:
     if not isinstance(scan, dict):
         raise ValidationError("settings.scan must be an object")
     _reject_unknown(scan, _SCAN_KEYS, "settings.scan")
-    if "grid_step" in scan:
-        kwargs["grid_step"] = _number(scan["grid_step"], "settings.scan.grid_step")
+    if "grid_step" in scan:  # echoed by verify bundles at SCHEMA_VERSION 1; no longer used
+        _number(scan["grid_step"], "settings.scan.grid_step")
     if "bisect_tol" in scan:
         kwargs["bisect_tol"] = _number(scan["bisect_tol"], "settings.scan.bisect_tol")
     return SolverSettings(**kwargs)
@@ -238,6 +237,6 @@ def serialize_problem(geometry: Geometry, settings: SolverSettings) -> dict:
                 "panel_points": settings.panel_points,
                 "panel_width": settings.panel_width,
             },
-            "scan": {"grid_step": settings.grid_step, "bisect_tol": settings.bisect_tol},
+            "scan": {"bisect_tol": settings.bisect_tol},
         },
     }

@@ -3,9 +3,11 @@
 The discrete spectrum below the continuum threshold is the set of lambda where
 the Galerkin matrix M(lambda) becomes singular.  Every ordered eigenvalue
 branch nu_k(lambda) of M(lambda) is strictly decreasing (the strip symbols
-decrease in lambda), so roots are located by sign changes of each branch on a
-uniform grid followed by bisection; distinct branches cross zero at distinct
-points, which is what resolves nearly degenerate pairs.
+decrease in lambda), so by Sylvester's law of inertia the number of negative
+eigenvalues of M(lambda) counts the trapped modes below lambda.  The counts at
+the two ends of the admissible band give the number of roots, and branch k
+holds the k-th root; each is refined by Brent's method on its own branch,
+which is what resolves nearly degenerate pairs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .assembly import assemble_galerkin
 from .errors import (
     NotPositiveDefiniteError,
     NumericalFailureError,
-    RescanRequiredError,
-    ThresholdError,
     ValidationError,
 )
 from .geometry import Geometry, SolverSettings
@@ -130,9 +130,42 @@ class ScanRoot:
     residual: float         # |nu(lambda*)| / ||M||_max
 
 
-def _branch_values(lam: float, geometry: Geometry, settings: SolverSettings) -> np.ndarray:
-    system = assemble_galerkin(lam, geometry, settings)
-    return np.linalg.eigvalsh(system.matrix)
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Brent's zeroin on [a, b] with f(a) and f(b) of opposite sign (Brent 1973).
+
+    Inverse quadratic or secant steps, kept inside the bracket and falling back
+    to bisection; stops once the bracket is narrower than xtol + 4 eps |x|.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk, fblk, spre, scur = a, fa, b - a, b - a
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + 4.0 * np.finfo(float).eps * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else np.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise NumericalFailureError(f"Brent iteration did not converge in [{a}, {b}]")
 
 
 def scan_eigenvalues(
@@ -140,66 +173,37 @@ def scan_eigenvalues(
 ) -> list[ScanRoot]:
     """Locate all discrete eigenvalues in (lambda_floor, 1 - threshold_margin).
 
-    Sign-change detection per ordered branch on the scan grid, then bisection to
-    settings.bisect_tol; the trace coefficients are the null vector of the
-    smallest-|nu| branch at the root.
+    The inertia of M at the two ends of the band counts the roots; each root
+    is refined by Brent's method on its own branch to settings.bisect_tol from
+    the tightest sign-change bracket among all branch values computed so far.
+    With count_max, only the lowest count_max roots are refined.  The trace
+    coefficients are the null vector of the branch at its root.
     """
-    lo = settings.lambda_floor
-    hi = settings.lambda_max
-    if hi <= lo:
-        raise ThresholdError("admissible spectral window is empty")
-    step = settings.grid_step
-    grid = np.arange(lo + step, hi, step)
-    if grid.size < 3:
-        raise ThresholdError("scan grid has fewer than 3 points; decrease grid_step")
+    samples: list[tuple[float, np.ndarray]] = []
 
-    values = np.empty((grid.size, len(geometry.windows) * settings.basis_order))
-    for i, lam in enumerate(grid):
-        values[i] = _branch_values(float(lam), geometry, settings)
+    def branches(lam: float) -> np.ndarray:
+        lam = float(lam)
+        values = np.linalg.eigvalsh(assemble_galerkin(lam, geometry, settings).matrix)
+        samples.append((lam, values))
+        return values
 
-    # curvature heuristic: a parabola through three consecutive samples of a
-    # branch must not dip below zero strictly inside a no-sign-change window
-    for k in range(values.shape[1]):
-        vk = values[:, k]
-        for i in range(1, grid.size - 1):
-            y0, y1, y2 = vk[i - 1], vk[i], vk[i + 1]
-            if min(y0, y1, y2) > 0.0:
-                half = 0.5 * (y0 + y2) - y1
-                if half > 0.0:
-                    vertex = 0.25 * (y0 - y2) / half  # in units of step, about i
-                    if abs(vertex) < 1.0:
-                        val = y1 - half * vertex**2
-                        if val < 0.0:
-                            raise RescanRequiredError(
-                                f"branch {k} may dip below zero inside a grid cell near "
-                                f"lambda={grid[i]:.6f}; rescan with grid_step <= {step / 4:.2e}"
-                            )
+    lo, hi = settings.lambda_floor, settings.lambda_max
+    first = int(np.count_nonzero(branches(np.nextafter(lo, hi)) <= 0.0))
+    last = int(np.count_nonzero(branches(np.nextafter(hi, lo)) <= 0.0))
+    if count_max is not None:
+        last = min(last, first + count_max)
 
     roots: list[ScanRoot] = []
-    for k in range(values.shape[1]):
-        vk = values[:, k]
-        sign_change = np.nonzero((vk[:-1] > 0.0) & (vk[1:] <= 0.0))[0]
-        for i in sign_change:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = vk[i]
-            while b - a > settings.bisect_tol:
-                mid = 0.5 * (a + b)
-                fm = _branch_values(mid, geometry, settings)[k]
-                if fa > 0.0 and fm > 0.0:
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            lam_star = 0.5 * (a + b)
-            system = assemble_galerkin(lam_star, geometry, settings)
-            evals, evecs = np.linalg.eigh(system.matrix)
-            residual = abs(evals[k]) / max(np.max(np.abs(system.matrix)), 1e-300)
-            if residual > 1e-9:
-                raise NumericalFailureError(
-                    f"bisected root at lambda={lam_star} has branch residual {residual:.3e}"
-                )
-            roots.append(ScanRoot(lam_star, evecs[:, k].copy(), k, residual))
-
-    roots.sort(key=lambda r: r.lam)
-    if count_max is not None:
-        roots = roots[:count_max]
+    for k in range(first, last):
+        # branch k decreases: bracket from the lowest sample with nu_k <= 0
+        # and the highest sample below it with nu_k > 0
+        b, fb = min((lam, v[k]) for lam, v in samples if v[k] <= 0.0)
+        a, fa = max((lam, v[k]) for lam, v in samples if lam < b and v[k] > 0.0)
+        lam_star = float(_brent(lambda lam: branches(lam)[k], a, b, fa, fb, settings.bisect_tol))
+        system = assemble_galerkin(lam_star, geometry, settings)
+        evals, evecs = np.linalg.eigh(system.matrix)
+        residual = abs(evals[k]) / max(np.max(np.abs(system.matrix)), 1e-300)
+        if residual > 1e-9:
+            raise NumericalFailureError(f"root at lambda={lam_star} has branch residual {residual:.3e}")
+        roots.append(ScanRoot(lam_star, evecs[:, k].copy(), k, float(residual)))
     return roots

@@ -153,6 +153,16 @@ def test_experiment_config_bad_numbers_exit_two(tmp_path, capsys, override):
         assert "error:" in capsys.readouterr().err
 
 
+def test_verify_unseparated_l_values_exit_two(tmp_path, capsys):
+    document = {"case": "double", "a_minus": 1.0, "a_plus": 1.0, "d": 2.0,
+                "l_values": [1.5, 1.6, 1.7]}
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(document))
+    for command in ("verify", "sweep"):
+        assert main([command, str(path)]) == 2
+        assert "separated regime" in capsys.readouterr().err
+
+
 def test_oracle_json_strict(single_cfg, capsys):
     assert main(
         ["oracle", single_cfg, "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"]

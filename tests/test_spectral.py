@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from winguide import assembly
 from winguide.assembly import assemble_galerkin
 from winguide.errors import ThresholdError, ValidationError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
 from winguide.spectral import jacobi_eig, scan_eigenvalues, solve_sym
+from winguide.waveguide import compute_modes
 
 # Single window a=1.0, d=2.0, frozen from the finite-difference oracle run
 # (h levels 0.1/0.05/0.025, L=20, Richardson extrapolated).
@@ -80,8 +83,7 @@ def test_scan_root_count_stable_under_refinement():
     geometry = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
     base = scan_eigenvalues(geometry, SolverSettings(basis_order=16))
     fine = scan_eigenvalues(geometry, SolverSettings(basis_order=32))
-    dense = scan_eigenvalues(geometry, SolverSettings(basis_order=16, grid_step=1e-3))
-    assert len(base) == len(fine) == len(dense) == 1
+    assert len(base) == len(fine) == 1
 
 
 def test_scan_symmetric_double_window_pair():
@@ -110,3 +112,47 @@ def test_scan_parity_alternation_wide_window():
         total = np.linalg.norm(coeffs)
         leak = np.linalg.norm(coeffs[1::2]) if k % 2 == 0 else np.linalg.norm(coeffs[0::2])
         assert leak <= 1e-8 * total
+
+
+@pytest.mark.parametrize(
+    "half_width, lam_high", [(2.7, 0.998493199875587), (2.66, 0.9998053656944)]
+)
+def test_scan_finds_mode_just_below_threshold(half_width, lam_high):
+    # the second mode lies above 0.998, beyond the last point of a 2e-3 grid
+    geometry = Geometry(d=2.0, windows=(WindowSpec(0.0, half_width),))
+    roots = scan_eigenvalues(geometry, SolverSettings())
+    assert len(roots) == 2
+    assert roots[1].lam == pytest.approx(lam_high, abs=1e-12)
+    modes = compute_modes(geometry, SolverSettings())
+    assert [m.parity for m in modes] == ["even", "odd"]
+    assert all(math.isfinite(m.c_coeff) for m in modes)
+
+
+def _inertia(lam: float, geometry: Geometry, solver: SolverSettings) -> int:
+    matrix = assemble_galerkin(lam, geometry, solver).matrix
+    return int(np.count_nonzero(np.linalg.eigvalsh(matrix) <= 0.0))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(half_width=st.floats(0.5, 3.0), d=st.floats(0.5, math.pi))
+def test_scan_roots_match_inertia_count(half_width, d):
+    solver = SolverSettings(basis_order=12, panel_points=12)
+    geometry = Geometry(d=d, windows=(WindowSpec(0.0, half_width),))
+    roots = scan_eigenvalues(geometry, solver)
+    lo, hi = solver.lambda_floor, solver.lambda_max
+    bottom, top = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    expected = _inertia(top, geometry, solver) - _inertia(bottom, geometry, solver)
+    assert len(roots) == expected
+    lams = [r.lam for r in roots]
+    assert all(x < y for x, y in zip(lams, lams[1:]))
+    assert all(lo < x < hi for x in lams)
+    assert all(r.residual <= 1e-10 for r in roots)
+
+
+def test_scan_independent_of_table_cache():
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-5.0, 1.0), WindowSpec(5.0, 1.0)))
+    assembly._TABLE_CACHE.clear()
+    cold = scan_eigenvalues(geometry, SolverSettings())
+    warm = scan_eigenvalues(geometry, SolverSettings())
+    assert [r.lam for r in cold] == [r.lam for r in warm]
+    assert all(np.array_equal(c.coeffs, w.coeffs) for c, w in zip(cold, warm))
