@@ -30,7 +30,8 @@ closed-form exponential moments; no oscillatory quadrature is involved and the
 entries are accurate in an absolute sense at any separation.
 
 Entries with odd n - m vanish identically by parity; both block types are
-assembled symmetrically (each unordered pair computed once).
+assembled symmetrically (each unordered pair computed once).  The field's L2
+density is N = -dm/dlambda, so norm_matrix (-dM/dlambda) gives its norm.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Geometry, SolverSettings, WindowSpec
-from .specfun import _creg
+from .specfun import _creg, norm_weight
 
 __all__ = [
     "basis_ft",
     "assemble_exp_rhs",
     "assemble_galerkin",
+    "norm_matrix",
     "GalerkinSystem",
     "basis_overlap_gram",
     "tail_estimate",
@@ -374,6 +376,38 @@ def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orde
     return -(g_left * decay) @ g_right.T * parity[None, :]
 
 
+def _diagonal_norm_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
+    """-d/dlambda of _diagonal_block: weight N_pi + N_d - 1_{xi>=1}/xi, plus the t3 term."""
+    w = norm_weight(table.nodes, lam, np.pi) + norm_weight(table.nodes, lam, d)
+    w -= np.where(table.nodes >= 1.0, 1.0 / table.nodes, 0.0)
+    n = np.arange(table.orders)
+    block = (table.beta * (table.weights * w / np.pi)) @ table.beta.T
+    block += np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
+    block *= table.sign
+    return 0.5 * (block + block.T)
+
+
+def _cross_norm_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int) -> np.ndarray:
+    """-d/dlambda of _cross_block, term by term in the series.
+
+    Term k is A_k e^{-kappa sep} P_m(kappa) P_n(kappa) with the unscaled moments
+    P; dA_k/dkappa = -A_k/kappa, dkappa/dlambda = -1/(2 kappa) and
+    d/dx [I_{n+1}(x)/x] = I_{n+2}(x)/x + n I_{n+1}(x)/x^2.
+    """
+    sep = right.center - left.center
+    gap = sep - left.half_width - right.half_width
+    kappas, amps = cross_kernel_series(lam, d, gap)
+    w = amps * np.exp(-kappas * gap) / (2.0 * kappas)
+    n = np.arange(orders)[:, None]
+    g, s = [], []  # ive-scaled moments and their kappa-derivatives, left then right
+    for a in (left.half_width, right.half_width):
+        ext = _scaled_moments(a, orders + 1, kappas)
+        g.append(ext[:-1])
+        s.append(a * (n + 1.0) / (n + 2.0) * ext[1:] + n * ext[:-1] / kappas)
+    slope = (g[0] * (w * (-1.0 / kappas - sep)) + s[0] * w) @ g[1].T + (g[0] * w) @ s[1].T
+    return -slope * np.where(n.T % 2 == 0, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class GalerkinSystem:
     """Symmetric Galerkin matrix M(lambda) with per-window block layout."""
@@ -384,11 +418,6 @@ class GalerkinSystem:
     geometry: Geometry
     settings: SolverSettings
     tail_bound: float
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        sl_i = slice(self.offsets[i], self.offsets[i + 1])
-        sl_j = slice(self.offsets[j], self.offsets[j + 1])
-        return self.matrix[sl_i, sl_j]
 
     @property
     def size(self) -> int:
@@ -443,3 +472,23 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
             matrix[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = blk.T
 
     return GalerkinSystem(lam, matrix, offsets, geometry, settings, worst_tail)
+
+
+def norm_matrix(lam: float, geometry: Geometry, settings: SolverSettings) -> np.ndarray:
+    """G = -dM/dlambda, so that ||u||^2 = x^T G x for the trace coefficients x.
+
+    Symmetric positive definite for lambda < 1; it reuses the window tables and
+    the cross-window series of assemble_galerkin at the same settings.
+    """
+    orders = settings.basis_order
+    windows = geometry.windows
+    gram = np.zeros((orders * len(windows),) * 2)
+    for i, win in enumerate(windows):
+        rows = slice(i * orders, (i + 1) * orders)
+        table = _window_table(win.half_width, orders, settings)
+        gram[rows, rows] = _diagonal_norm_block(lam, table, geometry.d)
+        for j in range(i + 1, len(windows)):
+            cols = slice(j * orders, (j + 1) * orders)
+            gram[rows, cols] = _cross_norm_block(lam, win, windows[j], geometry.d, orders)
+            gram[cols, rows] = gram[rows, cols].T
+    return gram

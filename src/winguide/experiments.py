@@ -31,7 +31,9 @@ from .geometry import (
     Geometry,
     SolverSettings,
     WindowSpec,
+    _load_object,
     _number,
+    _reject_unknown,
     parse_settings,
     serialize_problem,
 )
@@ -195,21 +197,9 @@ class ReportBundle:
 
 def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], SolverSettings]:
     """Validate a sweep/verify config document (JSON text or mapping)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            raw = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    elif isinstance(document, dict):
-        raw = document
-    else:
-        raise ValidationError(f"config must be JSON text or a mapping, got {type(document)!r}")
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
+    raw = _load_object(document)
     allowed = {"case", "a_minus", "a_plus", "d", "l_values", "settings"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValidationError(f"unknown key(s) {sorted(unknown)} in sweep config")
+    _reject_unknown(raw, allowed, "sweep config")
     for key in ("a_minus", "a_plus", "d"):
         if key not in raw:
             raise ValidationError(f"sweep config requires '{key}'")

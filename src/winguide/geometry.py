@@ -157,12 +157,8 @@ def parse_settings(raw: dict) -> SolverSettings:
     return SolverSettings(**kwargs)
 
 
-def parse_problem(document) -> tuple[Geometry, SolverSettings]:
-    """Parse a JSON config (text or already-loaded dict) into validated objects.
-
-    Two-window shorthand {a_minus, a_plus, l} is normalized to explicit windows
-    at centers -l and +l. Unknown keys are rejected at every level.
-    """
+def _load_object(document) -> dict:
+    """The JSON object of a config given as JSON text or an already-loaded dict."""
     if isinstance(document, (str, bytes)):
         try:
             raw = json.loads(document)
@@ -174,7 +170,16 @@ def parse_problem(document) -> tuple[Geometry, SolverSettings]:
         raise ValidationError(f"config must be JSON text or a mapping, got {type(document)!r}")
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
+    return raw
 
+
+def parse_problem(document) -> tuple[Geometry, SolverSettings]:
+    """Parse a JSON config (text or already-loaded dict) into validated objects.
+
+    Two-window shorthand {a_minus, a_plus, l} is normalized to explicit windows
+    at centers -l and +l. Unknown keys are rejected at every level.
+    """
+    raw = _load_object(document)
     allowed = {"d", "windows", "a_minus", "a_plus", "l", "settings"}
     _reject_unknown(raw, allowed, "config")
     if "d" not in raw:

@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolvers and the nonlinear-in-lambda spectral scan.
+"""Symmetric solves and the nonlinear-in-lambda spectral scan.
 
 The discrete spectrum below the continuum threshold is the set of lambda where
 the Galerkin matrix M(lambda) becomes singular.  Every ordered eigenvalue
@@ -26,20 +26,10 @@ from .errors import (
 from .geometry import Geometry, SolverSettings
 
 __all__ = [
-    "SpectralDecomposition",
-    "jacobi_eig",
     "solve_sym",
     "ScanRoot",
     "scan_eigenvalues",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvectors as matching orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _check_symmetric(matrix: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
@@ -50,59 +40,6 @@ def _check_symmetric(matrix: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
     if scale > 0 and np.max(np.abs(a - a.T)) > rtol * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
     return a
-
-
-def jacobi_eig(matrix) -> SpectralDecomposition:
-    """Cyclic Jacobi diagonalization of a symmetric matrix (size <= 256).
-
-    Deterministic row-cyclic sweep order; converges quadratically, capped at 60
-    sweeps.  Used as an independent cross-check of the LAPACK path and as the
-    spectral-inverse oracle for forced solves.
-    """
-    a = _check_symmetric(matrix).copy()
-    n = a.shape[0]
-    if n > 256:
-        raise ValidationError(f"jacobi_eig limited to size 256, got {n}")
-    v = np.eye(n)
-    if n == 1:
-        return SpectralDecomposition(a.diagonal().copy(), v)
-    scale = max(np.max(np.abs(a)), 1e-300)
-
-    for _ in range(60):
-        off = np.max(np.abs(a - np.diag(a.diagonal())))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    else:
-        raise NumericalFailureError("jacobi sweeps did not converge")
-
-    values = a.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return SpectralDecomposition(values[order], v[:, order])
 
 
 def solve_sym(matrix, rhs) -> np.ndarray:

@@ -3,12 +3,15 @@
 Every eigenfunction or forced solution of the coupled strips is represented by
 its interface trace phi on the window set; the field in either strip is the
 decaying lambda-harmonic extension of phi.  All L2 and energy quantities reduce
-to weighted integrals of |phi_hat|^2, evaluated here with the same edge basis
-used by the matrix assembly.  Two independent reconstruction routes are kept:
-a Fourier quadrature valid anywhere off the interface (near route) and a
-transverse-mode series valid beyond the windows (far route); their agreement in
-the overlap zone is a structural self-check, so neither may be expressed
-through the other.
+to weighted integrals of |phi_hat|^2.  Production norms (normalize_mode) come
+from the Galerkin matrix, ||u||^2 = x^T G x with G = -dM/dlambda
+(assembly.norm_matrix), for any window set; field_norm and gradient_norm are
+an independent single-window Fourier quadrature of the same integrals, the
+check behind the energy identity of solve_U.  Two independent reconstruction
+routes are kept for the field itself: a Fourier quadrature valid anywhere off
+the interface (near route) and a transverse-mode series valid beyond the
+windows (far route); their agreement in the overlap zone is a structural
+self-check, so neither may be expressed through the other.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .assembly import (
     beta_matrix,
     gl_panels,
     graded_edges,
+    norm_matrix,
 )
 from .errors import (
     AccuracyError,
@@ -56,13 +60,10 @@ __all__ = [
 ]
 
 _NORM_XI_MAX = 800.0       # one-window norm quadrature cut
-_CROSS_XI_MAX = 200.0      # cross-window norm quadrature cut
-_CROSS_WIDTH = 0.1         # panel width resolving cos(xi * separation)
 _GL_POINTS = 24
 _FAR_MARGIN = 0.5          # beyond this distance from every window: far zone
 _SLIVER = 1e-2             # near route keeps |x2| above this
 _SERIES_LOG_CUT = 42.0     # e^-42, relative truncation of the mode series
-_CHEB_NODES = 96           # Gauss-Chebyshev order for the separation kernel
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,6 @@ def trace_from_root(root: ScanRoot, geometry: Geometry) -> TraceFunction:
 # cached quadrature tables
 
 _NORM_TABLES: dict = {}
-_CROSS_NODES: dict = {}
-_CROSS_BETAS: dict = {}
 
 
 def _norm_table(a: float, orders: int):
@@ -183,20 +182,6 @@ def _norm_table(a: float, orders: int):
         nodes, weights = gl_panels(graded_edges(_NORM_XI_MAX, width), _GL_POINTS)
         _NORM_TABLES[key] = (nodes, weights, beta_matrix(a, orders, nodes))
     return _NORM_TABLES[key]
-
-
-def _cross_nodes():
-    if "n" not in _CROSS_NODES:
-        _CROSS_NODES["n"] = gl_panels(graded_edges(_CROSS_XI_MAX, _CROSS_WIDTH), _GL_POINTS)
-    return _CROSS_NODES["n"]
-
-
-def _cross_beta(a: float, orders: int) -> np.ndarray:
-    key = (a, orders)
-    if key not in _CROSS_BETAS:
-        nodes, _ = _cross_nodes()
-        _CROSS_BETAS[key] = beta_matrix(a, orders, nodes)
-    return _CROSS_BETAS[key]
 
 
 def _parity_split(orders: int):
@@ -234,99 +219,50 @@ def _grad_sub(nodes: np.ndarray, lam: float, d: float) -> np.ndarray:
     return out
 
 
-def _cross_combo(trace: TraceFunction, i: int, j: int, nodes, beta_i, beta_j):
-    """cos/sin-weighted product of two window transforms at separation delta."""
-    wi, wj = trace.geometry.windows[i], trace.geometry.windows[j]
-    ei, oi = _eo(trace.window_coeffs(i), beta_i)
-    ej, oj = _eo(trace.window_coeffs(j), beta_j)
-    delta = wj.center - wi.center
-    cd = np.cos(nodes * delta)
-    sd = np.sin(nodes * delta)
-    return cd * (ei * ej + oi * oj) + sd * (oi * ej - ei * oj)
-
-
-def _separation_kernel_block(wi: WindowSpec, wj: WindowSpec, orders: int) -> np.ndarray:
-    """F[n, m] = -(2/pi) intint b_n^i(t) b_m^j(s) (t-s)^-2 dt ds (disjoint windows)."""
-    k = np.arange(1, _CHEB_NODES + 1)
-    theta = k * np.pi / (_CHEB_NODES + 1)
-    s = np.cos(theta)
-    wgt = np.pi / (_CHEB_NODES + 1) * np.sin(theta) ** 2
-    u = np.empty((orders, _CHEB_NODES))
-    for n in range(orders):
-        u[n] = np.sin((n + 1) * theta) / np.sin(theta)
-    p = u * wgt
-    ti = wi.center + wi.half_width * s
-    tj = wj.center + wj.half_width * s
-    kern = -2.0 / (np.pi * (ti[:, None] - tj[None, :]) ** 2)
-    return (wi.half_width ** 2) * (wj.half_width ** 2) * (p @ kern @ p.T)
+def _single_window_quadrature(trace: TraceFunction):
+    """Norm-table nodes, weights and centered transform parts of a one-window trace."""
+    if len(trace.geometry.windows) != 1:
+        raise ValidationError(
+            "the quadrature norm routes take single-window traces; "
+            "normalize_mode uses norm_matrix for any window set"
+        )
+    nodes, weights, beta = _norm_table(trace.geometry.windows[0].half_width, trace.order)
+    return nodes, weights, *_eo(trace.window_coeffs(0), beta)
 
 
 def _field_sq(trace: TraceFunction) -> float:
-    lam = trace.lam
-    d = trace.geometry.d
-    total = 0.0
-    for i, w in enumerate(trace.geometry.windows):
-        nodes, weights, beta = _norm_table(w.half_width, trace.order)
-        e, o = _eo(trace.window_coeffs(i), beta)
-        ntot = norm_weight(nodes, lam, np.pi) + norm_weight(nodes, lam, d)
-        total += np.sum(weights * (e * e + o * o) * ntot) / np.pi
-    windows = trace.geometry.windows
-    if len(windows) > 1:
-        nodes, weights = _cross_nodes()
-        ntot = norm_weight(nodes, lam, np.pi) + norm_weight(nodes, lam, d)
-        for i in range(len(windows)):
-            for j in range(i + 1, len(windows)):
-                combo = _cross_combo(
-                    trace, i, j, nodes,
-                    _cross_beta(windows[i].half_width, trace.order),
-                    _cross_beta(windows[j].half_width, trace.order),
-                )
-                total += 2.0 * np.sum(weights * combo * ntot) / np.pi
-    return float(total)
+    nodes, weights, e, o = _single_window_quadrature(trace)
+    ntot = norm_weight(nodes, trace.lam, np.pi) + norm_weight(nodes, trace.lam, trace.geometry.d)
+    return float(np.sum(weights * (e * e + o * o) * ntot) / np.pi)
 
 
 def _grad_sq(trace: TraceFunction) -> float:
-    lam = trace.lam
-    d = trace.geometry.d
+    nodes, weights, e, o = _single_window_quadrature(trace)
+    x = trace.window_coeffs(0)
     n = np.arange(trace.order)
-    total = 0.0
-    for i, w in enumerate(trace.geometry.windows):
-        x = trace.window_coeffs(i)
-        total += np.pi * w.half_width ** 2 * np.sum((n + 1) * x * x)
-        nodes, weights, beta = _norm_table(w.half_width, trace.order)
-        e, o = _eo(x, beta)
-        total += np.sum(weights * (e * e + o * o) * _grad_sub(nodes, lam, d)) / np.pi
-    windows = trace.geometry.windows
-    if len(windows) > 1:
-        nodes, weights = _cross_nodes()
-        gsub = _grad_sub(nodes, lam, d)
-        for i in range(len(windows)):
-            for j in range(i + 1, len(windows)):
-                xi = trace.window_coeffs(i)
-                xj = trace.window_coeffs(j)
-                f = _separation_kernel_block(windows[i], windows[j], trace.order)
-                total += 2.0 * float(xi @ f @ xj)
-                combo = _cross_combo(
-                    trace, i, j, nodes,
-                    _cross_beta(windows[i].half_width, trace.order),
-                    _cross_beta(windows[j].half_width, trace.order),
-                )
-                total += 2.0 * np.sum(weights * combo * gsub) / np.pi
+    total = np.pi * trace.geometry.windows[0].half_width ** 2 * np.sum((n + 1) * x * x)
+    total += np.sum(weights * (e * e + o * o) * _grad_sub(nodes, trace.lam, trace.geometry.d)) / np.pi
     return float(total)
 
 
 def field_norm(trace: TraceFunction) -> float:
-    """L2 norm of the field over both strips, from the trace alone."""
+    """L2 norm of the field over both strips, by Fourier quadrature of the trace.
+
+    An independent check on a single-window trace (normalize_mode takes its
+    norms from norm_matrix instead); a multi-window trace raises
+    ValidationError.
+    """
     return float(np.sqrt(max(_field_sq(trace), 0.0)))
 
 
 def gradient_norm(trace: TraceFunction) -> float:
-    """L2 norm of the field gradient over both strips, from the trace alone.
+    """L2 norm of the field gradient over both strips, by Fourier quadrature.
 
     The leading |xi| part of the weight is integrated in closed form (diagonal
-    in the basis within one window, a smooth separation kernel across windows),
-    so the remaining quadrature sees an O(xi^-3) integrand and this value stays
-    independent of the matrix assembly used to produce the trace.
+    in the basis), so the remaining quadrature sees an O(xi^-3) integrand and
+    this value stays independent of the matrix assembly used to produce the
+    trace.  Single-window traces only, like field_norm: together they check
+    the energy identity of solve_U.
     """
     return float(np.sqrt(max(_grad_sq(trace), 0.0)))
 
@@ -535,8 +471,11 @@ def _mirror_coeffs(trace: TraceFunction) -> np.ndarray | None:
 def normalize_mode(raw, geometry: Geometry | None = None, index: int = 0) -> Eigenmode:
     """Scale a scan root (or trace) to unit field norm and classify its parity.
 
-    The sign convention makes the lowest-order significant coefficient of the
-    first window positive; repeated application returns the input unchanged.
+    The norm is ||u||^2 = x^T G x with G = -dM/dlambda (assembly.norm_matrix)
+    at the trace's basis order and default quadrature settings, which reuses
+    the window tables of the scan.  The sign convention makes the lowest-order
+    significant coefficient of the first window positive; repeated application
+    returns the input unchanged.
     """
     if isinstance(raw, TraceFunction):
         trace = raw
@@ -554,7 +493,8 @@ def normalize_mode(raw, geometry: Geometry | None = None, index: int = 0) -> Eig
     scale = np.max(np.abs(flat))
     if scale == 0.0:
         raise DegenerateInputError("zero trace cannot be normalized")
-    nrm = field_norm(trace)
+    gram = norm_matrix(trace.lam, trace.geometry, SolverSettings(basis_order=trace.order))
+    nrm = float(np.sqrt(max(flat @ gram @ flat, 0.0)))
     if nrm < 1e-12 * scale:
         raise DegenerateInputError("trace has numerically zero field norm")
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from winguide.assembly import (
@@ -11,6 +12,7 @@ from winguide.assembly import (
     assemble_galerkin,
     basis_ft,
     basis_overlap_gram,
+    norm_matrix,
     tail_estimate,
 )
 from winguide.errors import ThresholdError
@@ -86,12 +88,13 @@ def test_galerkin_two_window_block_structure():
         Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0))),
         settings,
     )
-    a_block = double.block(0, 0)
-    b_block = double.block(0, 1)
+    first, second = (slice(lo, hi) for lo, hi in zip(double.offsets, double.offsets[1:]))
+    a_block = double.matrix[first, first]
+    b_block = double.matrix[first, second]
     scale = np.abs(single.matrix).max()
     assert np.abs(a_block - single.matrix).max() <= 1e-12 * scale
-    assert np.abs(double.block(1, 1) - single.matrix).max() <= 1e-12 * scale
-    assert np.abs(double.block(1, 0) - b_block.T).max() == 0.0
+    assert np.abs(double.matrix[second, second] - single.matrix).max() <= 1e-12 * scale
+    assert np.abs(double.matrix[second, first] - b_block.T).max() == 0.0
     # the coupling block is exponentially small against the diagonal
     assert np.abs(b_block).max() < 1e-2 * scale
 
@@ -153,3 +156,44 @@ def test_basis_overlap_gram_matches_quadrature():
         for m in range(order):
             bm = oracles.edge_basis(m, a, t)
             assert gram[n, m] == pytest.approx(float((w * bn * bm).sum()), abs=1e-12)
+
+
+_NORM_SETTINGS = SolverSettings(basis_order=12, panel_points=12)
+_norm_cases = st.fixed_dictionaries({
+    "a": st.floats(0.5, 3.0),
+    "b": st.floats(0.5, 3.0),
+    "gap": st.floats(0.5, 2.0),
+    "d": st.floats(0.5, math.pi),
+    "lam": st.floats(0.05, 0.9),
+    "pair": st.booleans(),
+})
+
+
+def _norm_case(case):
+    a, b, gap = case["a"], case["b"], case["gap"]
+    if case["pair"]:
+        windows = (WindowSpec(-a - 0.5 * gap, a), WindowSpec(b + 0.5 * gap, b))
+    else:
+        windows = (WindowSpec(0.0, a),)
+    return case["lam"], Geometry(d=case["d"], windows=windows)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=_norm_cases)
+def test_norm_matrix_is_minus_lambda_derivative(case):
+    lam, geometry = _norm_case(case)
+    h = 1e-4
+    upper = assemble_galerkin(lam + h, geometry, _NORM_SETTINGS).matrix
+    lower = assemble_galerkin(lam - h, geometry, _NORM_SETTINGS).matrix
+    gram = norm_matrix(lam, geometry, _NORM_SETTINGS)
+    central = -(upper - lower) / (2.0 * h)
+    assert np.abs(gram - central).max() <= 1e-6 * np.abs(gram).max()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=_norm_cases)
+def test_norm_matrix_symmetric_positive_definite(case):
+    lam, geometry = _norm_case(case)
+    gram = norm_matrix(lam, geometry, _NORM_SETTINGS)
+    assert np.array_equal(gram, gram.T)
+    assert np.linalg.eigvalsh(gram)[0] > 0.0

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import jacobi_eig
 from winguide import assembly
 from winguide.assembly import assemble_galerkin
 from winguide.errors import ThresholdError, ValidationError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
-from winguide.spectral import jacobi_eig, scan_eigenvalues, solve_sym
+from winguide.spectral import scan_eigenvalues, solve_sym
 from winguide.waveguide import compute_modes
 
 # Single window a=1.0, d=2.0, frozen from the finite-difference oracle run

@@ -80,6 +80,15 @@ def test_field_norm_matches_brute_force(mode1):
     assert brute == pytest.approx(closed, rel=1e-4)
 
 
+def test_quadrature_norms_reject_pair_trace():
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)))
+    trace = TraceFunction(0.9, geometry, ((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+    with pytest.raises(ValidationError):
+        field_norm(trace)
+    with pytest.raises(ValidationError):
+        gradient_norm(trace)
+
+
 def test_trace_serialization_roundtrip(mode1):
     data = mode1.trace.to_dict()
     back = TraceFunction.from_dict(data)
@@ -225,7 +234,7 @@ def test_solve_u_sign_law_and_energy():
 
 def test_solve_u_matches_spectral_inverse():
     from winguide.assembly import assemble_exp_rhs, assemble_galerkin
-    from winguide.spectral import jacobi_eig
+    from oracles import jacobi_eig
 
     lam, a, d = 0.5, 1.0, 2.0
     settings = SolverSettings()
