@@ -36,6 +36,7 @@ density is N = -dm/dlambda, so norm_matrix (-dM/dlambda) gives its norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,10 @@ __all__ = [
     "cross_kernel_series",
 ]
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_TABLE_CACHE: dict[tuple, "_WindowTable"] = {}
 
-
+@functools.cache
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    if points not in _LEG_CACHE:
-        _LEG_CACHE[points] = np.polynomial.legendre.leggauss(points)
-    return _LEG_CACHE[points]
+    return np.polynomial.legendre.leggauss(points)
 
 
 def gl_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +257,7 @@ def _t3_tail_00(a: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class _WindowTable:
-    """Per-window, lambda-independent quadrature data (cached)."""
+    """Per-window, lambda-independent quadrature data (LRU-cached by _build_window_table)."""
 
     a: float
     orders: int
@@ -272,10 +269,14 @@ class _WindowTable:
     sign: np.ndarray          # (-1)^((n-m)/2) on even pairs, 0 on odd
 
 
-def _build_window_table(a: float, orders: int, settings: SolverSettings) -> _WindowTable:
-    width = min(settings.panel_width, np.pi / (2.0 * a), 1.0)
-    edges = graded_edges(settings.xi_max, width)
-    nodes, weights = gl_panels(edges, settings.panel_points)
+# 16 > 5, the largest benchmark working set (verify-simple 4, modes-widths 5).
+@functools.lru_cache(maxsize=16)
+def _build_window_table(
+    a: float, orders: int, xi_max: float, panel_points: int, panel_width: float
+) -> _WindowTable:
+    width = min(panel_width, np.pi / (2.0 * a), 1.0)
+    edges = graded_edges(xi_max, width)
+    nodes, weights = gl_panels(edges, panel_points)
     beta = beta_matrix(a, orders, nodes)
 
     n = np.arange(orders)
@@ -295,7 +296,7 @@ def _build_window_table(a: float, orders: int, settings: SolverSettings) -> _Win
                 hi = ~low
                 val = float(
                     np.sum(weights[hi] / nodes[hi] * beta[0, hi] ** 2) / scale[0, 0]
-                ) + _t3_tail_00(a, settings.xi_max)
+                ) + _t3_tail_00(a, xi_max)
                 t3[0, 0] = val
             else:
                 val = _ws_third_moment(a, i, j) - q01[i, j]
@@ -307,12 +308,9 @@ def _build_window_table(a: float, orders: int, settings: SolverSettings) -> _Win
 
 
 def _window_table(a: float, orders: int, settings: SolverSettings) -> _WindowTable:
-    key = (a, orders, settings.xi_max, settings.panel_points, settings.panel_width)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = _build_window_table(a, orders, settings)
-        _TABLE_CACHE[key] = table
-    return table
+    return _build_window_table(
+        a, orders, settings.xi_max, settings.panel_points, settings.panel_width
+    )
 
 
 def _diagonal_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:

@@ -91,14 +91,10 @@ def predict_simple(
     and 'derived' uses mu = tau pi kappa c_host^2 c_other.  The derived variant
     is the one consistent with a strictly negative shift.
     """
-    kappa, _, tau = decay_params(lambda_star, d)
-    if variant == "printed":
-        mu = tau * np.pi * kappa * c_host * c_other ** 2
-    elif variant == "derived":
-        mu = tau * np.pi * kappa * c_host ** 2 * c_other
-    else:
+    prediction = simple_prediction(lambda_star, c_host, c_other, d)
+    if variant not in ("printed", "derived"):
         raise ValidationError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    return float(lambda_star + mu * np.exp(-4.0 * kappa * l))
+    return prediction.predicted(l)[variant]
 
 
 def predict_double(
@@ -110,10 +106,9 @@ def predict_double(
     mu = (-1)^{m+1} tau pi kappa c_minus c_plus; mu = 0 flags the case where
     the pair may instead remain one double eigenvalue.
     """
-    kappa, _, tau = decay_params(lambda_star, d)
-    mu = (-1.0) ** (m + 1) * tau * np.pi * kappa * c_minus * c_plus
-    shift = abs(mu) * np.exp(-2.0 * kappa * l)
-    return float(lambda_star + shift), float(lambda_star - shift), float(mu)
+    prediction = double_prediction(lambda_star, c_minus, c_plus, m, d)
+    plus, minus = prediction.predicted(l)
+    return plus, minus, prediction.mu
 
 
 def predict_eigvecs(mu: float, double: bool = False, system=None) -> EigvecPrediction:
@@ -150,9 +145,10 @@ def simple_prediction(
     mu_derived = tau * np.pi * kappa * c_host ** 2 * c_other
 
     def predicted(l: float):
+        decay = np.exp(-4.0 * kappa * l)
         return {
-            "printed": predict_simple(lambda_star, c_host, c_other, l, d, "printed"),
-            "derived": predict_simple(lambda_star, c_host, c_other, l, d, "derived"),
+            "printed": float(lambda_star + mu_printed * decay),
+            "derived": float(lambda_star + mu_derived * decay),
         }
 
     return AsymptoticPrediction(
@@ -169,8 +165,8 @@ def double_prediction(
     mu = (-1.0) ** (m + 1) * tau * np.pi * kappa * c_minus * c_plus
 
     def predicted(l: float):
-        plus, minus, _ = predict_double(lambda_star, c_minus, c_plus, m, l, d)
-        return (plus, minus)
+        shift = abs(mu) * np.exp(-2.0 * kappa * l)
+        return float(lambda_star + shift), float(lambda_star - shift)
 
     return AsymptoticPrediction(
         lambda_star, "double", kappa, rho, tau, float(mu), None, predicted,

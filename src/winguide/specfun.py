@@ -24,14 +24,10 @@ u = 0 circle and safe at large xi.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
-from .errors import ThresholdError, UnsupportedArgumentError, ValidationError
+from .errors import ThresholdError, ValidationError
 
 __all__ = [
-    "bessel_j",
-    "bessel_i",
-    "bessel_i_scaled",
     "mode_kappa",
     "dtn_symbol",
     "norm_weight",
@@ -72,39 +68,6 @@ def _scalar_like(template, value: np.ndarray):
     if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
         return float(value)
     return value
-
-
-def bessel_j(order: int, x):
-    """Bessel function of the first kind J_order(x), order 0..128, |x| <= 1e5."""
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 128:
-        raise UnsupportedArgumentError(
-            f"bessel_j order must be an integer in [0, 128], got {order!r}"
-        )
-    arr = _as_farray(x)
-    if np.any(np.abs(arr) > 1e5):
-        raise UnsupportedArgumentError("bessel_j argument out of validated range |x| <= 1e5")
-    return _scalar_like(x, _sp.jv(order, arr))
-
-
-def bessel_i(order: int, x):
-    """Modified Bessel function I_order(x), order 0..128, |x| <= 700 (overflow guard)."""
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 128:
-        raise UnsupportedArgumentError(
-            f"bessel_i order must be an integer in [0, 128], got {order!r}"
-        )
-    arr = _as_farray(x)
-    if np.any(np.abs(arr) > 700.0):
-        raise UnsupportedArgumentError("bessel_i argument out of validated range |x| <= 700")
-    return _scalar_like(x, _sp.iv(order, arr))
-
-
-def bessel_i_scaled(order: int, x):
-    """exp(-|x|) * I_order(x); safe at any magnitude, used for exponential moments."""
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 128:
-        raise UnsupportedArgumentError(
-            f"bessel_i_scaled order must be an integer in [0, 128], got {order!r}"
-        )
-    return _scalar_like(x, _sp.ive(order, _as_farray(x)))
 
 
 def _check_width(width: float) -> float:

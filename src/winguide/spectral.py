@@ -105,16 +105,13 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     raise NumericalFailureError(f"Brent iteration did not converge in [{a}, {b}]")
 
 
-def scan_eigenvalues(
-    geometry: Geometry, settings: SolverSettings, count_max: int | None = None
-) -> list[ScanRoot]:
+def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanRoot]:
     """Locate all discrete eigenvalues in (lambda_floor, 1 - threshold_margin).
 
     The inertia of M at the two ends of the band counts the roots; each root
     is refined by Brent's method on its own branch to settings.bisect_tol from
     the tightest sign-change bracket among all branch values computed so far.
-    With count_max, only the lowest count_max roots are refined.  The trace
-    coefficients are the null vector of the branch at its root.
+    The trace coefficients are the null vector of the branch at its root.
     """
     samples: list[tuple[float, np.ndarray]] = []
 
@@ -127,8 +124,6 @@ def scan_eigenvalues(
     lo, hi = settings.lambda_floor, settings.lambda_max
     first = int(np.count_nonzero(branches(np.nextafter(lo, hi)) <= 0.0))
     last = int(np.count_nonzero(branches(np.nextafter(hi, lo)) <= 0.0))
-    if count_max is not None:
-        last = min(last, first + count_max)
 
     roots: list[ScanRoot] = []
     for k in range(first, last):

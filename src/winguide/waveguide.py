@@ -5,13 +5,15 @@ its interface trace phi on the window set; the field in either strip is the
 decaying lambda-harmonic extension of phi.  All L2 and energy quantities reduce
 to weighted integrals of |phi_hat|^2.  Production norms (normalize_mode) come
 from the Galerkin matrix, ||u||^2 = x^T G x with G = -dM/dlambda
-(assembly.norm_matrix), for any window set; field_norm and gradient_norm are
-an independent single-window Fourier quadrature of the same integrals, the
-check behind the energy identity of solve_U.  Two independent reconstruction
-routes are kept for the field itself: a Fourier quadrature valid anywhere off
-the interface (near route) and a transverse-mode series valid beyond the
-windows (far route); their agreement in the overlap zone is a structural
-self-check, so neither may be expressed through the other.
+(assembly.norm_matrix) at the caller's quadrature settings, for any window
+set; field_norm and gradient_norm are an independent single-window Fourier
+quadrature of the same integrals, on assembly's window table cut at xi = 800
+rather than M(lambda)'s 200, the check behind the energy identity of solve_U.
+Two independent reconstruction routes are kept for the field itself: a
+Fourier quadrature valid anywhere off the interface (near route) and a
+transverse-mode series valid beyond the windows (far route); their agreement
+in the overlap zone is a structural self-check, so neither may be expressed
+through the other.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from scipy import special as _sp
 
 from .assembly import (
     _scaled_moments,
+    _window_table,
     assemble_exp_rhs,
     assemble_galerkin,
     beta_matrix,
@@ -59,7 +62,7 @@ __all__ = [
     "compute_modes",
 ]
 
-_NORM_XI_MAX = 800.0       # one-window norm quadrature cut
+_ENERGY_QUADRATURE = SolverSettings(xi_max=800.0)  # field_norm/gradient_norm tables
 _GL_POINTS = 24
 _FAR_MARGIN = 0.5          # beyond this distance from every window: far zone
 _SLIVER = 1e-2             # near route keeps |x2| above this
@@ -170,19 +173,7 @@ def trace_from_root(root: ScanRoot, geometry: Geometry) -> TraceFunction:
 
 
 # ---------------------------------------------------------------------------
-# cached quadrature tables
-
-_NORM_TABLES: dict = {}
-
-
-def _norm_table(a: float, orders: int):
-    key = (a, orders)
-    if key not in _NORM_TABLES:
-        width = min(1.0, np.pi / (2.0 * a))
-        nodes, weights = gl_panels(graded_edges(_NORM_XI_MAX, width), _GL_POINTS)
-        _NORM_TABLES[key] = (nodes, weights, beta_matrix(a, orders, nodes))
-    return _NORM_TABLES[key]
-
+# centered window transforms
 
 def _parity_split(orders: int):
     n = np.arange(orders)
@@ -220,14 +211,14 @@ def _grad_sub(nodes: np.ndarray, lam: float, d: float) -> np.ndarray:
 
 
 def _single_window_quadrature(trace: TraceFunction):
-    """Norm-table nodes, weights and centered transform parts of a one-window trace."""
+    """Energy-table nodes, weights and centered transform parts of a one-window trace."""
     if len(trace.geometry.windows) != 1:
         raise ValidationError(
             "the quadrature norm routes take single-window traces; "
             "normalize_mode uses norm_matrix for any window set"
         )
-    nodes, weights, beta = _norm_table(trace.geometry.windows[0].half_width, trace.order)
-    return nodes, weights, *_eo(trace.window_coeffs(0), beta)
+    table = _window_table(trace.geometry.windows[0].half_width, trace.order, _ENERGY_QUADRATURE)
+    return table.nodes, table.weights, *_eo(trace.window_coeffs(0), table.beta)
 
 
 def _field_sq(trace: TraceFunction) -> float:
@@ -468,12 +459,16 @@ def _mirror_coeffs(trace: TraceFunction) -> np.ndarray | None:
     return None
 
 
-def normalize_mode(raw, geometry: Geometry | None = None, index: int = 0) -> Eigenmode:
+def normalize_mode(
+    raw, geometry: Geometry | None = None, index: int = 0,
+    settings: SolverSettings | None = None,
+) -> Eigenmode:
     """Scale a scan root (or trace) to unit field norm and classify its parity.
 
     The norm is ||u||^2 = x^T G x with G = -dM/dlambda (assembly.norm_matrix)
-    at the trace's basis order and default quadrature settings, which reuses
-    the window tables of the scan.  The sign convention makes the lowest-order
+    at the trace's basis order and the caller's quadrature settings (default
+    SolverSettings()), so a trace from a scan at the same settings reuses the
+    scan's window tables.  The sign convention makes the lowest-order
     significant coefficient of the first window positive; repeated application
     returns the input unchanged.
     """
@@ -493,7 +488,8 @@ def normalize_mode(raw, geometry: Geometry | None = None, index: int = 0) -> Eig
     scale = np.max(np.abs(flat))
     if scale == 0.0:
         raise DegenerateInputError("zero trace cannot be normalized")
-    gram = norm_matrix(trace.lam, trace.geometry, SolverSettings(basis_order=trace.order))
+    quadrature = dataclasses.replace(settings or SolverSettings(), basis_order=trace.order)
+    gram = norm_matrix(trace.lam, trace.geometry, quadrature)
     nrm = float(np.sqrt(max(flat @ gram @ flat, 0.0)))
     if nrm < 1e-12 * scale:
         raise DegenerateInputError("trace has numerically zero field norm")
@@ -591,16 +587,13 @@ def solve_U(
     return USolution(lam, trace, c, energy_residual)
 
 
-def compute_modes(
-    geometry: Geometry, settings: SolverSettings | None = None,
-    count_max: int | None = None,
-) -> list[Eigenmode]:
+def compute_modes(geometry: Geometry, settings: SolverSettings | None = None) -> list[Eigenmode]:
     """All trapped modes of the geometry: scan, normalize, classify, extract c."""
     settings = settings or SolverSettings()
-    roots = scan_eigenvalues(geometry, settings, count_max)
+    roots = scan_eigenvalues(geometry, settings)
     modes = []
     for i, root in enumerate(roots):
-        mode = normalize_mode(root, geometry, index=i + 1)
+        mode = normalize_mode(root, geometry, index=i + 1, settings=settings)
         if len(geometry.windows) == 1 and mode.parity != "none":
             mode = dataclasses.replace(mode, c_coeff=coeff_c(mode))
         modes.append(mode)

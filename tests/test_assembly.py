@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from winguide import assembly
 from winguide.assembly import (
     assemble_exp_rhs,
     assemble_galerkin,
@@ -197,3 +198,18 @@ def test_norm_matrix_symmetric_positive_definite(case):
     gram = norm_matrix(lam, geometry, _NORM_SETTINGS)
     assert np.array_equal(gram, gram.T)
     assert np.linalg.eigvalsh(gram)[0] > 0.0
+
+
+def test_window_table_cache_bounded_and_rebuild_bitwise():
+    small = SolverSettings(basis_order=4, xi_max=50.0)
+    first = assembly._window_table(0.5, 4, small)
+    for k in range(1, 17):
+        assembly._window_table(0.5 + 0.1 * k, 4, small)
+    info = assembly._build_window_table.cache_info()
+    assert info.maxsize == 16
+    assert info.currsize <= 16
+    rebuilt = assembly._window_table(0.5, 4, small)
+    assert assembly._build_window_table.cache_info().misses == info.misses + 1
+    assert rebuilt is not first
+    for field in ("nodes", "weights", "beta", "dterm", "t3", "sign"):
+        assert np.array_equal(getattr(rebuilt, field), getattr(first, field))

@@ -1,10 +1,12 @@
 """Tests for geometry parsing, validation, and serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from winguide.errors import ValidationError
 from winguide.geometry import (
@@ -105,6 +107,37 @@ def test_parse_roundtrip_keeps_panel_width():
     assert settings2.panel_width == 0.5
     assert (geometry2, settings2) == (geometry, settings)
     assert serialize_problem(geometry2, settings2) == echoed
+
+
+_SETTINGS_FIELDS = {
+    "basis_order": st.integers(4, 64),
+    "threshold_margin": st.floats(1e-12, 0.4),
+    "lambda_floor": st.floats(0.0, 0.5),
+    "xi_max": st.floats(50.0, 5000.0),
+    "panel_points": st.integers(4, 64),
+    "panel_width": st.floats(1e-3, 4.0),
+    "bisect_tol": st.floats(1e-16, 1e-3),
+}
+
+
+@st.composite
+def _geometries(draw):
+    d = draw(st.floats(0.05, math.pi))
+    first = WindowSpec(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.05, 3.0)))
+    if not draw(st.booleans()):
+        return Geometry(d=d, windows=(first,))
+    half = draw(st.floats(0.05, 3.0))
+    center = first.right + draw(st.floats(0.01, 5.0)) + half
+    return Geometry(d=d, windows=(first, WindowSpec(center, half)))
+
+
+@hyp_settings(max_examples=60, deadline=None, derandomize=True)
+@given(geometry=_geometries(), settings=st.builds(SolverSettings, **_SETTINGS_FIELDS))
+def test_parse_roundtrip_every_settings_field(geometry, settings):
+    assert set(_SETTINGS_FIELDS) == {f.name for f in dataclasses.fields(SolverSettings)}
+    document = serialize_problem(geometry, settings)
+    assert parse_problem(document) == (geometry, settings)
+    assert parse_problem(json.dumps(document)) == (geometry, settings)
 
 
 def test_windows_sorted_by_center():

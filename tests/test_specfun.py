@@ -6,65 +6,85 @@ import numpy as np
 import pytest
 
 import oracles
-from winguide.errors import ThresholdError, UnsupportedArgumentError
-from winguide.specfun import bessel_i, bessel_j, dtn_symbol, mode_kappa
+from winguide.assembly import _scaled_moments, assemble_exp_rhs, basis_ft, beta_matrix
+from winguide.errors import ThresholdError
+from winguide.geometry import WindowSpec
+from winguide.specfun import dtn_symbol, mode_kappa
 
 # Frozen from the series-plus-bisection oracle in oracles.py.
 J0_FIRST_ZERO = 2.404825557695773
 I0_AT_ONE = 1.2660658777520084
 
+# The Bessel values are checked through their production users at a = 1:
+# row n of beta_matrix is pi (n+1) J_{n+1}(x)/x, entry n of assemble_exp_rhs
+# is pi (n+1) I_{n+1}(x)/x, and _scaled_moments is the same times e^{-x}.
+# Order 0 never occurs there; it comes from the three-term recurrence.
+UNIT = WindowSpec(0.0, 1.0)
+
+
+def _bessel_j(order: int, x: float) -> float:
+    if order == 0:
+        return 2.0 * _bessel_j(1, x) / x - _bessel_j(2, x)
+    return float(beta_matrix(1.0, order, np.array([x]))[-1, 0]) * x / (np.pi * order)
+
+
+def _bessel_i(order: int, x: float) -> float:
+    if order == 0:
+        return 2.0 * _bessel_i(1, x) / x + _bessel_i(2, x)
+    return float(assemble_exp_rhs(0.5, UNIT, x, +1, order)[-1]) * x / (np.pi * order)
+
 
 def test_bessel_j_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(2, 0.0) == 0.0
+    # J_1(x)/x -> 1/2 and J_{n+1}(x)/x -> 0 at the removable point xi = 0
+    assert basis_ft(0, 1.0, 0.0) == np.pi / 2
+    assert basis_ft(1, 1.0, 0.0) == 0.0
+    beta = beta_matrix(1.0, 4, np.array([1e-13]))[:, 0]
+    assert np.allclose(beta, [np.pi / 2, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_bessel_j_first_zero_matches_series_oracle():
     zero = oracles.bisect_root(lambda x: oracles.bessel_j_series(0, x), 2.0, 3.0)
     assert abs(zero - J0_FIRST_ZERO) < 1e-12
-    assert abs(bessel_j(0, J0_FIRST_ZERO)) < 1e-10
+    assert abs(_bessel_j(0, J0_FIRST_ZERO)) < 1e-10
 
 
 def test_bessel_j_series_agreement_small_arguments():
     for order in (0, 1, 3, 7):
         for x in (0.3, 1.7, 4.0, 9.5):
-            assert bessel_j(order, x) == pytest.approx(
+            assert _bessel_j(order, x) == pytest.approx(
                 oracles.bessel_j_series(order, x), abs=1e-12
             )
 
 
 def test_bessel_j_recurrence():
+    # beta_matrix rows give J_1..J_31, so n starts at 2 (n = 1 would need J_0)
     rng = np.random.default_rng(20260817)
     for _ in range(40):
-        n = int(rng.integers(1, 30))
+        n = int(rng.integers(2, 30))
         x = float(rng.uniform(0.5, 60.0))
-        lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
-        rhs = (2.0 * n / x) * bessel_j(n, x)
+        j = beta_matrix(1.0, n + 1, np.array([x]))[:, 0] * x / (np.pi * np.arange(1, n + 2))
+        lhs = j[n - 2] + j[n]
+        rhs = (2.0 * n / x) * j[n - 1]
         scale = max(abs(lhs), abs(rhs), 1e-3)
         assert abs(lhs - rhs) <= 1e-9 * scale
 
 
-def test_bessel_j_range_errors():
-    with pytest.raises(UnsupportedArgumentError):
-        bessel_j(129, 1.0)
-    with pytest.raises(UnsupportedArgumentError):
-        bessel_j(0, 2e5)
-
-
 def test_bessel_i_values():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
-    assert bessel_i(0, 1.0) == pytest.approx(I0_AT_ONE, rel=1e-10)
+    # I_1(x)/x -> 1/2 and I_{n+1}(x)/x -> 0 as kappa -> 0
+    small = assemble_exp_rhs(0.5, UNIT, 1e-13, +1, 4)
+    assert np.allclose(small, [np.pi / 2, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert _bessel_i(0, 1.0) == pytest.approx(I0_AT_ONE, rel=1e-10)
     for order in (0, 1, 2, 6):
         for x in (0.4, 2.0, 8.0):
-            assert bessel_i(order, x) == pytest.approx(
+            assert _bessel_i(order, x) == pytest.approx(
                 oracles.bessel_i_series(order, x), rel=1e-10
             )
-
-
-def test_bessel_i_range_error():
-    with pytest.raises(UnsupportedArgumentError):
-        bessel_i(0, 701.0)
+    for order in (1, 2, 6):
+        for x in (0.4, 2.0, 8.0):
+            scaled = _scaled_moments(1.0, order, np.array([x]))[-1, 0] * x / (np.pi * order)
+            assert scaled * np.exp(x) == pytest.approx(
+                oracles.bessel_i_series(order, x), rel=1e-10
+            )
 
 
 def test_mode_kappa_values():

@@ -152,7 +152,7 @@ def test_scan_roots_match_inertia_count(half_width, d):
 
 def test_scan_independent_of_table_cache():
     geometry = Geometry(d=2.0, windows=(WindowSpec(-5.0, 1.0), WindowSpec(5.0, 1.0)))
-    assembly._TABLE_CACHE.clear()
+    assembly._build_window_table.cache_clear()
     cold = scan_eigenvalues(geometry, SolverSettings())
     warm = scan_eigenvalues(geometry, SolverSettings())
     assert [r.lam for r in cold] == [r.lam for r in warm]

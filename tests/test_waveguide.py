@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from winguide import assembly
 from winguide.errors import (
     DegenerateInputError,
     EvaluationDomainError,
@@ -262,3 +263,9 @@ def test_domain_monotonicity_in_half_width():
 def test_unit_norm_recomputed(mode1, modes_wide):
     for mode in [mode1, *modes_wide]:
         assert field_norm(mode.trace) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_compute_modes_normalizes_with_scan_quadrature():
+    assembly._build_window_table.cache_clear()
+    compute_modes(Geometry(2.0, (WindowSpec(0, 1.0),)), SolverSettings(panel_points=16))
+    assert assembly._build_window_table.cache_info().currsize == 1
