@@ -83,11 +83,6 @@ def gl_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_edges(lo: float, hi: float, width: float) -> np.ndarray:
-    count = max(1, int(np.ceil((hi - lo) / width)))
-    return np.linspace(lo, hi, count + 1)
-
-
 def graded_edges(xi_max: float, width: float) -> np.ndarray:
     """Panel edges on [0, xi_max], geometrically refined near xi = 0 and xi = 1.
 

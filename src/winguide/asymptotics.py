@@ -19,11 +19,7 @@ from .errors import ThresholdError, ValidationError
 
 __all__ = [
     "AsymptoticPrediction",
-    "EigvecPrediction",
     "decay_params",
-    "predict_simple",
-    "predict_double",
-    "predict_eigvecs",
     "simple_prediction",
     "double_prediction",
 ]
@@ -44,14 +40,6 @@ class AsymptoticPrediction:
     mu_variants: tuple[float, float] | None   # simple case: (printed, derived)
     predicted: Callable[[float], object]
     note: str
-
-
-@dataclass(frozen=True)
-class EigvecPrediction:
-    """Host-mode combination coefficients for each perturbed eigenvalue."""
-
-    pairs: tuple[tuple[float, float], ...]
-    regime: str                     # 'split', 'double', or 'mu-zero'
 
 
 def _tau(d: float) -> int:
@@ -79,67 +67,18 @@ def decay_params(lambda_star: float, d: float) -> tuple[float, float, int]:
     return kappa, rho, _tau(d)
 
 
-def predict_simple(
-    lambda_star: float, c_host: float, c_other: float, l: float, d: float,
-    variant: str = "derived",
-) -> float:
-    """Perturbed eigenvalue lambda* + mu e^{-4 kappa l} of a lone resonance.
-
-    The host window owns the limiting eigenvalue; the other window only shifts
-    it.  Two published prefactor forms disagree on which amplitude carries the
-    square, so both are kept: 'printed' uses mu = tau pi kappa c_host c_other^2
-    and 'derived' uses mu = tau pi kappa c_host^2 c_other.  The derived variant
-    is the one consistent with a strictly negative shift.
-    """
-    prediction = simple_prediction(lambda_star, c_host, c_other, d)
-    if variant not in ("printed", "derived"):
-        raise ValidationError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    return prediction.predicted(l)[variant]
-
-
-def predict_double(
-    lambda_star: float, c_minus: float, c_plus: float, m: int, l: float, d: float
-) -> tuple[float, float, float]:
-    """Symmetric splitting (lambda_plus, lambda_minus, mu) of a shared resonance.
-
-    lambda_pm = lambda* +- |mu| e^{-2 kappa l} with
-    mu = (-1)^{m+1} tau pi kappa c_minus c_plus; mu = 0 flags the case where
-    the pair may instead remain one double eigenvalue.
-    """
-    prediction = double_prediction(lambda_star, c_minus, c_plus, m, d)
-    plus, minus = prediction.predicted(l)
-    return plus, minus, prediction.mu
-
-
-def predict_eigvecs(mu: float, double: bool = False, system=None) -> EigvecPrediction:
-    """Combination coefficients of the two host modes for each split eigenvalue.
-
-    Order of pairs: the lower eigenvalue first.  A nonzero mu gives the
-    (anti)symmetric combinations (1, -sgn mu)/sqrt2 and (1, +sgn mu)/sqrt2; a
-    confirmed double eigenvalue keeps the canonical basis; mu = 0 with distinct
-    eigenvalues requires the caller's 2x2 reduced system to decide.
-    """
-    if mu != 0.0:
-        if double:
-            raise ValidationError("nonzero mu contradicts the double-eigenvalue flag")
-        s = 1.0 if mu > 0 else -1.0
-        r = 1.0 / np.sqrt(2.0)
-        return EigvecPrediction(((r, -s * r), (r, s * r)), "split")
-    if double:
-        return EigvecPrediction(((1.0, 0.0), (0.0, 1.0)), "double")
-    if system is None:
-        raise ValidationError("mu = 0 with distinct eigenvalues needs the reduced system")
-    a = np.asarray(system, dtype=float)
-    if a.shape != (2, 2):
-        raise ValidationError(f"reduced system must be 2x2, got {a.shape}")
-    _, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    pairs = tuple((float(vecs[0, k]), float(vecs[1, k])) for k in range(2))
-    return EigvecPrediction(pairs, "mu-zero")
-
-
 def simple_prediction(
     lambda_star: float, c_host: float, c_other: float, d: float
 ) -> AsymptoticPrediction:
+    """Shift law lambda* + mu e^{-4 kappa l} of a lone resonance.
+
+    The host window owns the limiting eigenvalue; the other window only shifts
+    it.  Two published prefactor forms disagree on which amplitude carries the
+    square, so predicted(l) returns both: 'printed' uses
+    mu = tau pi kappa c_host c_other^2 and 'derived' uses
+    mu = tau pi kappa c_host^2 c_other.  The derived variant is the one
+    consistent with a strictly negative shift.
+    """
     kappa, rho, tau = decay_params(lambda_star, d)
     mu_printed = tau * np.pi * kappa * c_host * c_other ** 2
     mu_derived = tau * np.pi * kappa * c_host ** 2 * c_other
@@ -161,6 +100,13 @@ def simple_prediction(
 def double_prediction(
     lambda_star: float, c_minus: float, c_plus: float, m: int, d: float
 ) -> AsymptoticPrediction:
+    """Symmetric splitting law of a shared resonance.
+
+    predicted(l) returns (lambda_+, lambda_-) with
+    lambda_pm = lambda* +- |mu| e^{-2 kappa l} and
+    mu = (-1)^{m+1} tau pi kappa c_minus c_plus; mu = 0 flags the case where
+    the pair may instead remain one double eigenvalue.
+    """
     kappa, rho, tau = decay_params(lambda_star, d)
     mu = (-1.0) ** (m + 1) * tau * np.pi * kappa * c_minus * c_plus
 

@@ -8,8 +8,9 @@ Subcommands:
 * ``oracle``   finite-difference reference eigenvalues with extrapolation
 * ``verify``   full asymptotics verification report (JSON bundle)
 
-Exit codes: 0 on success, 2 for configuration or validation problems,
-3 for numerical failures, 4 when ``verify`` produces failing verdicts.
+Exit codes: 0 on success, 2 for configuration or validation problems (any
+``ValidationError``), 3 for numerical failures (any other ``WaveguideError``),
+4 when ``verify`` produces failing verdicts.
 """
 
 from __future__ import annotations
@@ -18,18 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    AccuracyError,
-    DegenerateInputError,
-    EvaluationDomainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-    ResolventPoleError,
-    ThresholdError,
-    UnsupportedArgumentError,
-    ValidationError,
-)
+from .errors import ValidationError, WaveguideError
 from .experiments import (
     SCHEMA_VERSION,
     parse_experiment_config,
@@ -40,17 +30,6 @@ from .experiments import (
 from .fd_oracle import GridSpec, fd_eigenvalues
 from .geometry import parse_problem
 from .waveguide import compute_modes, solve_U
-
-_VALIDATION_ERRORS = (ValidationError, UnsupportedArgumentError, ThresholdError)
-_NUMERICAL_ERRORS = (
-    AccuracyError,
-    DegenerateInputError,
-    EvaluationDomainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-    ResolventPoleError,
-)
 
 
 def _load_config(path: str) -> dict:
@@ -238,10 +217,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except WaveguideError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

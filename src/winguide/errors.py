@@ -1,7 +1,8 @@
 """Exception hierarchy for the coupled-strip solver.
 
-Every failure mode that callers are expected to handle gets its own class so the
-CLI can map them to exit codes without string matching.
+Every failure mode that callers are expected to handle gets its own class.  The
+CLI maps them to exit codes by base class alone: a ValidationError (bad input)
+exits 2 and any other WaveguideError (a numerical failure) exits 3.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class AccuracyError(WaveguideError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-class NotPositiveDefiniteError(WaveguideError):
-    """Cholesky-based solve attempted on an indefinite matrix."""
 
 
 class ResolventPoleError(WaveguideError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticPrediction, decay_params, double_prediction, simple_prediction
+from .asymptotics import AsymptoticPrediction, double_prediction, simple_prediction
 from .assembly import basis_overlap_gram
 from .errors import InsufficientDataError, ValidationError
 from .geometry import (
@@ -418,10 +418,16 @@ def sweep_l(config: SweepConfig, l_values, settings: SolverSettings | None = Non
         settings = SolverSettings()
     if not isinstance(config, SweepConfig):
         raise ValidationError(f"config must be a SweepConfig, got {type(config)!r}")
+    return _sweep(config, l_values, settings)[3]
+
+
+def _sweep(config: SweepConfig, l_values, settings: SolverSettings):
+    """Single-window spectra, sigma* elements, u-problem entries and one record per l."""
     l_values = _separated_l_values(config, l_values)
-    _, elements, _ = _build_elements(config, settings)
+    singles, elements, u_entries = _build_elements(config, settings)
     grams = _window_gram(config, settings.basis_order)
-    return [_sweep_one(config, elements, grams, l, settings) for l in l_values]
+    records = [_sweep_one(config, elements, grams, l, settings) for l in l_values]
+    return singles, elements, u_entries, records
 
 
 def _separated_l_values(config: SweepConfig, l_values) -> list[float]:
@@ -596,10 +602,7 @@ def verify_report(document) -> ReportBundle:
     aborting the bundle.
     """
     config, l_values, settings = parse_experiment_config(document)
-    l_values = _separated_l_values(config, l_values)
-    singles, elements, u_entries = _build_elements(config, settings)
-    grams = _window_gram(config, settings.basis_order)
-    records = [_sweep_one(config, elements, grams, l, settings) for l in l_values]
+    singles, elements, u_entries, records = _sweep(config, l_values, settings)
 
     single_windows = {}
     for side, half_width in (("minus", config.a_minus), ("plus", config.a_plus)):

@@ -1,4 +1,4 @@
-"""Symmetric solves and the nonlinear-in-lambda spectral scan.
+"""The nonlinear-in-lambda spectral scan.
 
 The discrete spectrum below the continuum threshold is the set of lambda where
 the Galerkin matrix M(lambda) becomes singular.  Every ordered eigenvalue
@@ -15,46 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _la
 
 from .assembly import assemble_galerkin
-from .errors import (
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-    ValidationError,
-)
+from .errors import NumericalFailureError
 from .geometry import Geometry, SolverSettings
 
 __all__ = [
-    "solve_sym",
     "ScanRoot",
     "scan_eigenvalues",
 ]
-
-
-def _check_symmetric(matrix: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a))
-    if scale > 0 and np.max(np.abs(a - a.T)) > rtol * scale:
-        raise ValidationError("matrix is not symmetric within tolerance")
-    return a
-
-
-def solve_sym(matrix, rhs) -> np.ndarray:
-    """Solve M x = g for symmetric positive definite M via Cholesky."""
-    a = _check_symmetric(matrix)
-    g = np.asarray(rhs, dtype=float)
-    try:
-        factor = _la.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-    x = _la.cho_solve(factor, g, check_finite=False)
-    resid = np.linalg.norm(a @ x - g)
-    if resid > 1e-10 * max(np.linalg.norm(g), 1e-300):
-        raise NumericalFailureError(f"solve residual {resid:.3e} unexpectedly large")
-    return x
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .assembly import (
     _scaled_moments,
@@ -38,11 +37,12 @@ from .errors import (
     AccuracyError,
     DegenerateInputError,
     EvaluationDomainError,
+    NumericalFailureError,
     ResolventPoleError,
     ValidationError,
 )
 from .geometry import Geometry, SolverSettings, WindowSpec
-from .spectral import ScanRoot, scan_eigenvalues, solve_sym
+from .spectral import ScanRoot, scan_eigenvalues
 from .specfun import grad_weight, mode_kappa, norm_weight, strip_kernel
 
 __all__ = [
@@ -460,10 +460,9 @@ def _mirror_coeffs(trace: TraceFunction) -> np.ndarray | None:
 
 
 def normalize_mode(
-    raw, geometry: Geometry | None = None, index: int = 0,
-    settings: SolverSettings | None = None,
+    trace: TraceFunction, index: int = 0, settings: SolverSettings | None = None
 ) -> Eigenmode:
-    """Scale a scan root (or trace) to unit field norm and classify its parity.
+    """Scale a trace to unit field norm and classify its parity.
 
     The norm is ||u||^2 = x^T G x with G = -dM/dlambda (assembly.norm_matrix)
     at the trace's basis order and the caller's quadrature settings (default
@@ -472,18 +471,6 @@ def normalize_mode(
     significant coefficient of the first window positive; repeated application
     returns the input unchanged.
     """
-    if isinstance(raw, TraceFunction):
-        trace = raw
-    elif isinstance(raw, ScanRoot):
-        if geometry is None:
-            raise ValidationError("normalize_mode needs the geometry for a scan root")
-        trace = trace_from_root(raw, geometry)
-    else:
-        lam, coeffs = raw
-        if geometry is None:
-            raise ValidationError("normalize_mode needs the geometry for a bare pair")
-        trace = trace_from_root(ScanRoot(float(lam), np.asarray(coeffs, float), -1, 0.0), geometry)
-
     flat = trace.flat()
     scale = np.max(np.abs(flat))
     if scale == 0.0:
@@ -562,25 +549,27 @@ def solve_U(
     Solves M(lambda) x = -g for the single window of half-width a centered at
     the origin, where g holds the moments of e^{kappa_1 t}; the matching
     amplitude is c = -g^T M^{-1} g / (pi kappa_1), negative below the first
-    eigenvalue.  Requesting lambda at (or numerically on top of) an eigenvalue
-    raises a resolvent-pole error.
+    eigenvalue.  One symmetric eigendecomposition M = V diag(nu) V^T serves
+    both the pole check and the solve x = V (V^T (-g) / nu), whichever the
+    sign of nu: requesting lambda at (or numerically on top of) an eigenvalue
+    raises a resolvent-pole error, and a relative residual above 1e-10 a
+    numerical failure.
     """
     settings = settings or SolverSettings()
     geometry = Geometry(d, (WindowSpec(0.0, a),))
     system = assemble_galerkin(lam, geometry, settings)
     m = system.matrix
-    evals = np.linalg.eigvalsh(m)
-    if np.min(np.abs(evals)) <= 1e-10 * np.max(np.abs(m)):
+    vals, vecs = np.linalg.eigh(m)
+    if np.min(np.abs(vals)) <= 1e-10 * np.max(np.abs(m)):
         raise ResolventPoleError(
             f"lambda = {lam} is numerically on the discrete spectrum"
         )
     kappa = mode_kappa(1, lam, np.pi)
     g = assemble_exp_rhs(lam, geometry.windows[0], kappa, +1, settings.basis_order)
-    if evals[0] > 0.0:
-        x = solve_sym(m, -g)
-    else:
-        vals, vecs = np.linalg.eigh(m)
-        x = vecs @ ((vecs.T @ -g) / vals)
+    x = vecs @ ((vecs.T @ -g) / vals)
+    resid = np.linalg.norm(m @ x + g)
+    if resid > 1e-10 * max(np.linalg.norm(g), 1e-300):
+        raise NumericalFailureError(f"solve residual {resid:.3e} unexpectedly large")
     c = float(g @ x) / (np.pi * kappa)
     trace = TraceFunction(lam, geometry, (tuple(x),))
     energy_residual = abs(lam * _field_sq(trace) - _grad_sq(trace) - np.pi * kappa * c)
@@ -593,7 +582,7 @@ def compute_modes(geometry: Geometry, settings: SolverSettings | None = None) ->
     roots = scan_eigenvalues(geometry, settings)
     modes = []
     for i, root in enumerate(roots):
-        mode = normalize_mode(root, geometry, index=i + 1, settings=settings)
+        mode = normalize_mode(trace_from_root(root, geometry), index=i + 1, settings=settings)
         if len(geometry.windows) == 1 and mode.parity != "none":
             mode = dataclasses.replace(mode, c_coeff=coeff_c(mode))
         modes.append(mode)

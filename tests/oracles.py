@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from scipy.special import eval_chebyu
 
 from winguide.errors import NumericalFailureError, ValidationError
-from winguide.spectral import _check_symmetric
 
 
 def bessel_j_series(order: int, x: float, terms: int = 40) -> float:
@@ -98,12 +97,6 @@ def rect_fd_eigenvalues(m1: int, h1: float, m2: int, h2: float, count: int):
             )
     vals.sort()
     return vals[:count]
-
-
-def seeded_spd(size: int, seed: int):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((size, size))
-    return a.T @ a + np.eye(size)
 
 
 def _gl_nodes(edges, points: int):
@@ -196,7 +189,11 @@ def jacobi_eig(matrix) -> SpectralDecomposition:
     sweeps.  Used as an independent cross-check of the LAPACK path and as the
     spectral-inverse oracle for forced solves.
     """
-    a = _check_symmetric(matrix).copy()
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-13 * np.max(np.abs(a), initial=0.0):
+        raise ValidationError("matrix is not symmetric within tolerance")
     n = a.shape[0]
     if n > 256:
         raise ValidationError(f"jacobi_eig limited to size 256, got {n}")

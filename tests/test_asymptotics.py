@@ -2,17 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from winguide.asymptotics import (
-    decay_params,
-    double_prediction,
-    predict_double,
-    predict_eigvecs,
-    predict_simple,
-    simple_prediction,
-)
+from winguide.asymptotics import decay_params, double_prediction, simple_prediction
 from winguide.errors import ThresholdError, ValidationError
 
 # Frozen values for the mirrored-pair geometry a = 1, d = 2 (lambda* and c
@@ -53,90 +45,59 @@ def test_decay_params_validation():
 
 
 def test_predict_simple_zero_other():
+    predicted = simple_prediction(0.8, 0.7, 0.0, 2.0).predicted(3.0)
     for variant in ("printed", "derived"):
-        lam = predict_simple(0.8, 0.7, 0.0, 3.0, 2.0, variant)
-        assert lam == 0.8
+        assert predicted[variant] == 0.8
 
 
 def test_predict_simple_tau_doubling():
-    args = (0.75, 0.5, -0.4, 3.0)
-    shift_pi = predict_simple(*args, math.pi, "derived") - 0.75
-    shift_d2 = predict_simple(*args, 2.0, "derived") - 0.75
+    shift_pi = simple_prediction(0.75, 0.5, -0.4, math.pi).predicted(3.0)["derived"] - 0.75
+    shift_d2 = simple_prediction(0.75, 0.5, -0.4, 2.0).predicted(3.0)["derived"] - 0.75
     assert shift_pi == pytest.approx(2.0 * shift_d2, rel=1e-12)
 
 
 def test_predict_simple_sign_and_variants():
     # the derived prefactor carries the sign of the partner response c_other
-    lam = predict_simple(0.885, 0.45, -0.97, 2.5, 2.0, "derived")
+    lam = simple_prediction(0.885, 0.45, -0.97, 2.0).predicted(2.5)["derived"]
     assert lam < 0.885
     # variants coincide when both amplitudes are equal
-    a = predict_simple(0.7, 0.3, 0.3, 4.0, 2.0, "printed")
-    b = predict_simple(0.7, 0.3, 0.3, 4.0, 2.0, "derived")
-    assert a == b
-    with pytest.raises(ValidationError):
-        predict_simple(0.7, 0.3, 0.3, 4.0, 2.0, "other")
+    predicted = simple_prediction(0.7, 0.3, 0.3, 2.0).predicted(4.0)
+    assert predicted["printed"] == predicted["derived"]
 
 
 def test_predict_double_midpoint_and_gap():
     kappa = math.sqrt(1.0 - LAMBDA1_A1_D2)
+    pred = double_prediction(LAMBDA1_A1_D2, C1_A1_D2, C1_A1_D2, 1, 2.0)
     for l in (4.0, 5.0, 6.0):
-        plus, minus, mu = predict_double(LAMBDA1_A1_D2, C1_A1_D2, C1_A1_D2, 1, l, 2.0)
+        plus, minus = pred.predicted(l)
         assert 0.5 * (plus + minus) == pytest.approx(LAMBDA1_A1_D2, abs=1e-15)
         assert plus - minus == pytest.approx(
-            2.0 * abs(mu) * math.exp(-2.0 * kappa * l), rel=1e-13
+            2.0 * abs(pred.mu) * math.exp(-2.0 * kappa * l), rel=1e-13
         )
-        assert mu == pytest.approx(MU_DOUBLE_A1_D2, abs=1e-12)
+    assert pred.mu == pytest.approx(MU_DOUBLE_A1_D2, abs=1e-12)
 
 
 def test_predict_double_gap_shrinks_with_separation():
+    pred = double_prediction(0.9, 0.4, 0.4, 1, 2.0)
     gaps = []
     for l in (3.0, 4.0, 5.0, 6.0):
-        plus, minus, _ = predict_double(0.9, 0.4, 0.4, 1, l, 2.0)
+        plus, minus = pred.predicted(l)
         gaps.append(plus - minus)
     assert all(g1 > g2 > 0.0 for g1, g2 in zip(gaps, gaps[1:]))
 
 
 def test_predict_double_parity_flip():
-    p1, m1, mu1 = predict_double(0.9, 0.4, 0.3, 1, 5.0, 2.0)
-    p2, m2, mu2 = predict_double(0.9, 0.4, 0.3, 2, 5.0, 2.0)
-    assert mu2 == -mu1
-    assert (p2, m2) == (p1, m1)
+    first = double_prediction(0.9, 0.4, 0.3, 1, 2.0)
+    second = double_prediction(0.9, 0.4, 0.3, 2, 2.0)
+    assert second.mu == -first.mu
+    assert second.predicted(5.0) == first.predicted(5.0)
 
 
 def test_predict_double_degenerate_partner():
-    plus, minus, mu = predict_double(0.9, 0.4, 0.0, 1, 5.0, 2.0)
-    assert mu == 0.0
+    pred = double_prediction(0.9, 0.4, 0.0, 1, 2.0)
+    plus, minus = pred.predicted(5.0)
+    assert pred.mu == 0.0
     assert plus == minus == 0.9
-
-
-def test_predict_eigvecs_split():
-    r = 1.0 / math.sqrt(2.0)
-    pos = predict_eigvecs(0.2)
-    assert pos.regime == "split"
-    assert pos.pairs == ((r, -r), (r, r))
-    neg = predict_eigvecs(-0.2)
-    assert neg.pairs == ((r, r), (r, -r))
-    for pred in (pos, neg):
-        for pair in pred.pairs:
-            assert math.hypot(*pair) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_predict_eigvecs_double_and_mu_zero():
-    double = predict_eigvecs(0.0, double=True)
-    assert double.regime == "double"
-    assert double.pairs == ((1.0, 0.0), (0.0, 1.0))
-
-    with pytest.raises(ValidationError):
-        predict_eigvecs(0.3, double=True)
-    with pytest.raises(ValidationError):
-        predict_eigvecs(0.0)
-    with pytest.raises(ValidationError):
-        predict_eigvecs(0.0, system=np.eye(3))
-
-    reduced = predict_eigvecs(0.0, system=[[0.0, 1.0], [1.0, 0.0]])
-    assert reduced.regime == "mu-zero"
-    v = np.array(reduced.pairs).T
-    assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
 
 
 def test_simple_prediction_bundle():
@@ -160,10 +121,9 @@ def test_double_prediction_bundle():
     assert pred.mu_variants is None
     assert pred.mu == pytest.approx(MU_DOUBLE_A1_D2, abs=1e-12)
     plus, minus = pred.predicted(6.0)
-    ref_plus, ref_minus, _ = predict_double(
-        LAMBDA1_A1_D2, C1_A1_D2, C1_A1_D2, 1, 6.0, 2.0
-    )
-    assert (plus, minus) == (ref_plus, ref_minus)
+    shift = abs(pred.mu) * math.exp(-2.0 * pred.kappa * 6.0)
+    assert plus == pytest.approx(LAMBDA1_A1_D2 + shift, abs=1e-15)
+    assert minus == pytest.approx(LAMBDA1_A1_D2 - shift, abs=1e-15)
     assert pred.rho == pytest.approx(
         min(math.sqrt(math.pi ** 2 / 4.0 - pred.lambda_star),
             math.sqrt(4.0 - pred.lambda_star)),

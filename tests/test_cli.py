@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from winguide import cli
 from winguide.cli import main
+from winguide.errors import ValidationError, WaveguideError
 
 LAMBDA1_A1_D2 = 0.934889771227259
 U_C_AT_HALF = -0.5274006716845234
@@ -203,3 +209,41 @@ def test_usage_errors(capsys):
     assert main(["modes"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _error_classes(base):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_maps_to_its_exit_code(single_cfg, capsys, monkeypatch):
+    classes = [WaveguideError, *_error_classes(WaveguideError)]
+    assert len(classes) >= 10
+    for cls in classes:
+        def fail(*args, **kwargs):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setattr(cli, "compute_modes", fail)
+        expected = 2 if issubclass(cls, ValidationError) else 3
+        assert main(["modes", single_cfg]) == expected, cls.__name__
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"raised {cls.__name__}" in captured.err
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import json, sys, winguide.cli; "
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == []

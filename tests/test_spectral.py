@@ -1,4 +1,4 @@
-"""Tests for dense symmetric linear algebra and the nonlinear eigenvalue scan."""
+"""Tests for the Jacobi reference eigensolver and the nonlinear eigenvalue scan."""
 
 import math
 
@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracles
 from oracles import jacobi_eig
 from winguide import assembly
 from winguide.assembly import assemble_galerkin
 from winguide.errors import ThresholdError, ValidationError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
-from winguide.spectral import scan_eigenvalues, solve_sym
+from winguide.spectral import scan_eigenvalues
 from winguide.waveguide import compute_modes
 
 # Single window a=1.0, d=2.0, frozen from the finite-difference oracle run
@@ -49,21 +48,6 @@ def test_jacobi_rejects_asymmetric_input():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         jacobi_eig(m)
-
-
-def test_solve_sym_identity_and_diagonal():
-    g = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(solve_sym(np.eye(3), g), g, rtol=0, atol=1e-14)
-    x = solve_sym(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0], rtol=0, atol=1e-14)
-
-
-def test_solve_sym_random_spd_residual():
-    matrix = oracles.seeded_spd(8, seed=13)
-    rng = np.random.default_rng(14)
-    g = rng.standard_normal(8)
-    x = solve_sym(matrix, g)
-    assert np.linalg.norm(matrix @ x - g) <= 1e-11 * np.linalg.norm(g)
 
 
 def test_scan_empty_admissible_window():

@@ -10,6 +10,7 @@ from winguide import assembly
 from winguide.errors import (
     DegenerateInputError,
     EvaluationDomainError,
+    NumericalFailureError,
     ResolventPoleError,
     ValidationError,
 )
@@ -252,6 +253,21 @@ def test_solve_u_matches_spectral_inverse():
 def test_solve_u_pole_detection():
     with pytest.raises(ResolventPoleError):
         solve_U(LAMBDA1_A1_D2, 1.0, 2.0)
+
+
+def test_solve_u_rejects_inaccurate_decomposition(monkeypatch):
+    # one branch value off by 1e-6 relative leaves a residual far above 1e-10
+    eigh = np.linalg.eigh
+
+    def perturbed(matrix):
+        vals, vecs = eigh(matrix)
+        vals = vals.copy()
+        vals[0] *= 1.0 + 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalFailureError, match="solve residual"):
+        solve_U(0.5, 1.0, 2.0)
 
 
 def test_domain_monotonicity_in_half_width():
