@@ -52,7 +52,6 @@ from .geometry import Geometry, SolverSettings, WindowSpec
 from .specfun import _creg, norm_weight
 
 __all__ = [
-    "basis_ft",
     "assemble_exp_rhs",
     "assemble_galerkin",
     "norm_matrix",
@@ -130,31 +129,6 @@ def beta_matrix(a: float, orders: int, nodes: np.ndarray) -> np.ndarray:
     for n in range(orders):
         out[n] = np.pi * a * a * (n + 1) * _sp.jv(n + 1, x) / x
     return out
-
-
-def basis_ft(n: int, a: float, xi):
-    """Fourier transform of b_n for a window centered at 0 (complex-valued).
-
-    Returns pi a^2 i^n (n+1) J_{n+1}(a xi)/(a xi); a window centered at c
-    multiplies this by e^{i xi c}.  Removable point: bhat_0(0) = pi a^2/2,
-    bhat_n(0) = 0 for n >= 1.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"basis index must be a non-negative integer, got {n!r}")
-    if a <= 0:
-        raise ValidationError(f"half_width must be positive, got {a!r}")
-    arr = np.asarray(xi, dtype=float)
-    x = a * arr
-    small = np.abs(x) < 1e-12
-    ratio = np.empty_like(arr)
-    if np.any(~small):
-        xs = x[~small]
-        ratio[~small] = _sp.jv(n + 1, xs) / xs
-    ratio[small] = 0.5 if n == 0 else 0.0
-    value = (1j ** n) * np.pi * a * a * (n + 1) * ratio
-    if np.isscalar(xi) or getattr(xi, "ndim", 1) == 0:
-        return complex(value)
-    return value
 
 
 def assemble_exp_rhs(lam: float, window: WindowSpec, kappa: float, orientation: int, order: int = 32):

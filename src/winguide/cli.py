@@ -32,17 +32,13 @@ from .geometry import parse_problem
 from .waveguide import compute_modes, solve_U
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> str:
+    """The text of a config file; the parsers check that it holds a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ValidationError("config file must contain a JSON object")
-    return document
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -5,9 +5,12 @@ problem for each l, and compares the measured eigenvalues against the
 single-window limits: every eigenvalue converges to an element of sigma*,
 the union of the two single-window spectra, with an exponentially small
 shift whose rate and prefactor are predicted in closed form (`asymptotics`).
-`verify_report` packages the whole comparison (eigenvalue fits, prefactor
-adjudication, trace-overlap decay, parity checks) into one reproducible
-bundle.
+Each sigma* element owns its law: a shared element splits into two branches
+at rate 2 kappa, a lone one shifts along one branch at rate 4 kappa, and
+every root is matched to its nearest element and measured against that
+element's branches. `verify_report` packages the whole comparison
+(eigenvalue fits, prefactor adjudication, trace-overlap decay, parity
+checks) into one reproducible bundle.
 
 All numbers in a bundle are deterministic functions of the echoed
 configuration: rerunning `verify_report` on `bundle.config` reproduces the
@@ -17,8 +20,6 @@ parallel map; records are always emitted in increasing-l order.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,9 @@ from .geometry import (
     WindowSpec,
     _load_object,
     _number,
-    _reject_unknown,
+    _object,
     parse_settings,
-    serialize_problem,
+    serialize_settings,
 )
 from .waveguide import compute_modes, solve_U
 
@@ -44,7 +45,6 @@ SCHEMA_VERSION = 1
 DELTA_FLOOR = 1e-12
 DELTA_CEILING = 1e-2
 _MATCH_FLOOR = 1e-6
-_STAR_MERGE_TOL = 1e-9
 
 DEFAULT_DOUBLE_CONFIG = {
     "case": "double",
@@ -191,15 +191,12 @@ class ReportBundle:
             "mu_adjudication": self.mu_adjudication,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], SolverSettings]:
     """Validate a sweep/verify config document (JSON text or mapping)."""
     raw = _load_object(document)
     allowed = {"case", "a_minus", "a_plus", "d", "l_values", "settings"}
-    _reject_unknown(raw, allowed, "sweep config")
+    _object(raw, allowed, "sweep config")
     for key in ("a_minus", "a_plus", "d"):
         if key not in raw:
             raise ValidationError(f"sweep config requires '{key}'")
@@ -213,11 +210,7 @@ def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], S
     if not isinstance(l_raw, list) or not l_raw:
         raise ValidationError("sweep config requires a non-empty 'l_values' list")
     l_values = tuple(_number(v, f"l_values[{i}]") for i, v in enumerate(l_raw))
-    settings_raw = raw.get("settings", {})
-    if not isinstance(settings_raw, dict):
-        raise ValidationError("settings must be an object")
-    settings = parse_settings(settings_raw)
-    return config, l_values, settings
+    return config, l_values, parse_settings(raw.get("settings", {}))
 
 
 def fit_exponential(
@@ -262,19 +255,30 @@ def fit_exponential(
 
 @dataclass(frozen=True)
 class _StarElement:
-    """One sigma* element: a limiting eigenvalue with its host window(s)."""
+    """One sigma* element: its closed-form law and the traces of its host window(s)."""
 
-    lambda_star: float
-    kind: str                       # 'double' (both windows) or 'simple' (one host)
-    sides: tuple[str, ...]          # ('minus', 'plus') or ('minus',) / ('plus',)
-    mode_index: int                 # 1-based index within the host spectrum
-    host_coeffs: dict               # side -> single-window trace coefficients
     prediction: AsymptoticPrediction
+    host_coeffs: dict               # side -> single-window trace coefficients
 
+    @property
+    def lambda_star(self) -> float:
+        return self.prediction.lambda_star
 
-def _single_window_modes(half_width: float, d: float, settings: SolverSettings):
-    geometry = Geometry(d=d, windows=(WindowSpec(0.0, half_width),))
-    return compute_modes(geometry, settings)
+    @property
+    def kind(self) -> str:
+        return self.prediction.kind
+
+    def law(self, l: float) -> tuple[dict, tuple[float, ...]]:
+        """A record's prediction entries at l and the branches its roots follow, ascending.
+
+        A lone element has one branch, the derived-prefactor shift; a shared
+        element splits into lambda* -+ |mu| e^{-2 kappa l}.
+        """
+        if self.kind == "simple":
+            preds = self.prediction.predicted(l)
+            return preds, (preds["derived"],)
+        plus, minus = self.prediction.predicted(l)
+        return {"double_plus": plus, "double_minus": minus}, (minus, plus)
 
 
 def _build_elements(config: SweepConfig, settings: SolverSettings):
@@ -288,35 +292,25 @@ def _build_elements(config: SweepConfig, settings: SolverSettings):
     (a resolvent solve, not an eigenmode), so both windows contribute even
     though only one is resonant.
     """
-    singles = {"minus": _single_window_modes(config.a_minus, config.d, settings)}
-    singles["plus"] = (
-        singles["minus"]
-        if config.a_plus == config.a_minus
-        else _single_window_modes(config.a_plus, config.d, settings)
-    )
+    half_widths = {"minus": config.a_minus, "plus": config.a_plus}
+    singles = {
+        side: compute_modes(Geometry(d=config.d, windows=(WindowSpec(0.0, a),)), settings)
+        for side, a in half_widths.items()
+        if side == "minus" or config.case == "simple"
+    }
+    singles.setdefault("plus", singles["minus"])  # equal half-widths share one spectrum
     u_entries = []
     elements = []
     if config.case == "double":
         for m, mode in enumerate(singles["minus"], start=1):
+            coeffs = mode.trace.window_coeffs(0)
             pred = double_prediction(mode.lam, mode.c_coeff, mode.c_coeff, m, config.d)
-            elements.append(
-                _StarElement(
-                    lambda_star=mode.lam,
-                    kind="double",
-                    sides=("minus", "plus"),
-                    mode_index=m,
-                    host_coeffs={
-                        "minus": mode.trace.window_coeffs(0),
-                        "plus": mode.trace.window_coeffs(0),
-                    },
-                    prediction=pred,
-                )
-            )
+            elements.append(_StarElement(pred, {"minus": coeffs, "plus": coeffs}))
     else:
-        other = {"minus": ("plus", config.a_plus), "plus": ("minus", config.a_minus)}
+        other = {"minus": "plus", "plus": "minus"}
         for side in ("minus", "plus"):
-            for m, mode in enumerate(singles[side], start=1):
-                other_side, other_a = other[side]
+            other_a = half_widths[other[side]]
+            for mode in singles[side]:
                 u = solve_U(mode.lam, other_a, config.d, settings)
                 u_entries.append(
                     {
@@ -328,82 +322,34 @@ def _build_elements(config: SweepConfig, settings: SolverSettings):
                     }
                 )
                 pred = simple_prediction(mode.lam, mode.c_coeff, u.c, config.d)
-                elements.append(
-                    _StarElement(
-                        lambda_star=mode.lam,
-                        kind="simple",
-                        sides=(side,),
-                        mode_index=m,
-                        host_coeffs={side: mode.trace.window_coeffs(0)},
-                        prediction=pred,
-                    )
-                )
+                elements.append(_StarElement(pred, {side: mode.trace.window_coeffs(0)}))
     elements.sort(key=lambda e: e.lambda_star)
     return singles, elements, u_entries
 
 
-def _window_gram(config: SweepConfig, order: int):
-    return (
-        basis_overlap_gram(config.a_minus, order),
-        basis_overlap_gram(config.a_plus, order),
-    )
-
-
-def _overlap_diagnostics(mode, element: _StarElement, grams) -> dict:
+def _overlap_diagnostics(trace, host_coeffs: dict, grams) -> dict:
     """Trace-overlap residual against the shifted single-window mode(s).
 
     Projects the two-window eigen-trace onto the span of the single-window
-    traces recentered on their windows (one column for a simple element, two
-    for a shared one), in the window-wise L2 norm, and reports the relative
-    residual plus the projection weights. The residual is the trace-level
-    measure of how far the mode is from the predicted superposition.
+    traces recentered on their host windows, in the window-wise L2 norm, and
+    reports the relative residual plus the projection weights. The host traces
+    sit on different windows, so the projection is window by window,
+    w = c^T g x / c^T g c, and the residual is summed from r = x - w c: the
+    difference |x|^2 - w c^T g x would cancel about 10 digits.
     """
-    side_block = {"minus": 0, "plus": 1}
-    x0 = np.asarray(mode.trace.window_coeffs(0))
-    x1 = np.asarray(mode.trace.window_coeffs(1))
-    g0, g1 = grams
-    norm_sq = float(x0 @ g0 @ x0 + x1 @ g1 @ x1)
-    cols = []
-    for side in element.sides:
-        col0 = np.zeros_like(x0)
-        col1 = np.zeros_like(x1)
-        coeffs = np.asarray(element.host_coeffs[side])
-        if side_block[side] == 0:
-            col0 = coeffs
-        else:
-            col1 = coeffs
-        cols.append((col0, col1))
-    gram = np.array(
-        [[c0 @ g0 @ d0 + c1 @ g1 @ d1 for d0, d1 in cols] for c0, c1 in cols]
-    )
-    rhs = np.array([c0 @ g0 @ x0 + c1 @ g1 @ x1 for c0, c1 in cols])
-    weights = np.linalg.solve(gram, rhs)
-    resid_sq = norm_sq - float(weights @ rhs)
-    residual = math.sqrt(max(resid_sq, 0.0) / norm_sq)
-    return {
-        "residual": residual,
-        "weights": {side: float(w) for side, w in zip(element.sides, weights)},
-    }
-
-
-def _assign_predictions(records_for_element, element: _StarElement, l: float):
-    """Per-root prediction dicts and residuals for one element at one l."""
-    preds = element.prediction.predicted(l)
-    out = []
-    if element.kind == "simple":
-        for lam_root in records_for_element:
-            p = {"printed": preds["printed"], "derived": preds["derived"]}
-            out.append((p, lam_root - preds["derived"]))
-    else:
-        plus, minus = preds
-        ordered = sorted(records_for_element)
-        for lam_root in records_for_element:
-            p = {"double_plus": plus, "double_minus": minus}
-            assigned = minus if (len(ordered) == 2 and lam_root == ordered[0]) else (
-                plus if len(ordered) == 2 else (minus if abs(lam_root - minus) <= abs(lam_root - plus) else plus)
-            )
-            out.append((p, lam_root - assigned))
-    return out
+    weights = {}
+    norm_sq = resid_sq = 0.0
+    for block, (side, g) in enumerate(zip(("minus", "plus"), grams)):
+        x = trace.window_coeffs(block)
+        norm_sq += float(x @ g @ x)
+        r = x
+        if side in host_coeffs:
+            c = np.asarray(host_coeffs[side])
+            cg = c @ g
+            weights[side] = float(cg @ x / (cg @ c))
+            r = x - weights[side] * c
+        resid_sq += float(r @ g @ r)
+    return {"residual": math.sqrt(resid_sq / norm_sq), "weights": weights}
 
 
 def sweep_l(config: SweepConfig, l_values, settings: SolverSettings | None = None):
@@ -422,58 +368,64 @@ def sweep_l(config: SweepConfig, l_values, settings: SolverSettings | None = Non
 
 
 def _sweep(config: SweepConfig, l_values, settings: SolverSettings):
-    """Single-window spectra, sigma* elements, u-problem entries and one record per l."""
-    l_values = _separated_l_values(config, l_values)
-    singles, elements, u_entries = _build_elements(config, settings)
-    grams = _window_gram(config, settings.basis_order)
-    records = [_sweep_one(config, elements, grams, l, settings) for l in l_values]
-    return singles, elements, u_entries, records
+    """Single-window spectra, sigma* elements, u-problem entries and one record per l.
 
-
-def _separated_l_values(config: SweepConfig, l_values) -> list[float]:
-    """The l values in increasing order, all in the separated regime l >= max(a_minus, a_plus) + 1."""
+    The l values are taken in increasing order and must all lie in the
+    separated regime l >= max(a_minus, a_plus) + 1.
+    """
     l_values = sorted(float(l) for l in l_values)
     if not l_values:
         raise ValidationError("sweep needs at least one l value")
     l_min = max(config.a_minus, config.a_plus) + 1.0
     if l_values[0] < l_min:
         raise ValidationError(f"l = {l_values[0]} below the separated regime l >= {l_min}")
-    return l_values
+    singles, elements, u_entries = _build_elements(config, settings)
+    grams = (
+        basis_overlap_gram(config.a_minus, settings.basis_order),
+        basis_overlap_gram(config.a_plus, settings.basis_order),
+    )
+    records = [_sweep_one(config, elements, grams, l, settings) for l in l_values]
+    return singles, elements, u_entries, records
 
 
 def _sweep_one(config, elements, grams, l, settings) -> SweepRecord:
+    """Solve at l and measure each root against a branch of its nearest sigma* element.
+
+    An element with as many roots as branches hands them out in ascending
+    order; otherwise each root follows its nearest branch (the lower on a
+    tie).
+    """
     modes = compute_modes(config.geometry(l), settings)
-    largest_shift = 0.0
-    for e in elements:
-        pred = e.prediction.predicted(l)
-        if e.kind == "simple":
-            largest_shift = max(largest_shift, abs(pred["derived"] - e.lambda_star))
-        else:
-            largest_shift = max(largest_shift, abs(pred[0] - e.lambda_star))
+    laws = [e.law(l) for e in elements]
+    largest_shift = max(
+        (abs(branches[-1] - e.lambda_star) for e, (_, branches) in zip(elements, laws)),
+        default=0.0,
+    )
     match_radius = max(10.0 * largest_shift, _MATCH_FLOOR)
 
-    element_idx = []
-    flags = []
-    for mode in modes:
+    element_idx, flags = [], []
+    roots_of: dict[int, list[int]] = {}
+    for i, mode in enumerate(modes):
         dists = [abs(mode.lam - e.lambda_star) for e in elements]
         best = int(np.argmin(dists))
         if dists[best] > match_radius:
-            element_idx.append(-1)
+            best = -1
             flags.append(f"unmatched root at lambda={mode.lam!r}")
         else:
-            element_idx.append(best)
+            roots_of.setdefault(best, []).append(i)
+        element_idx.append(best)
 
-    by_element: dict[int, list[float]] = {}
-    for mode, idx in zip(modes, element_idx):
-        if idx >= 0:
-            by_element.setdefault(idx, []).append(mode.lam)
-    assigned: dict[tuple[int, float], tuple[dict, float]] = {}
-    for idx, lam_list in by_element.items():
-        for lam_root, pair in zip(lam_list, _assign_predictions(lam_list, elements[idx], l)):
-            assigned[(idx, lam_root)] = pair
+    branch_of: dict[int, float] = {}
+    for idx, roots in roots_of.items():
+        branches = laws[idx][1]
+        if len(roots) == len(branches):
+            branch_of.update(zip(sorted(roots, key=lambda i: modes[i].lam), branches))
+        else:
+            for i in roots:
+                branch_of[i] = min(branches, key=lambda b: abs(modes[i].lam - b))
 
     lam_star, shifts, predictions, residuals, overlaps, parities = [], [], [], [], [], []
-    for mode, idx in zip(modes, element_idx):
+    for i, (mode, idx) in enumerate(zip(modes, element_idx)):
         parities.append(mode.parity)
         if idx < 0:
             lam_star.append(math.nan)
@@ -485,10 +437,9 @@ def _sweep_one(config, elements, grams, l, settings) -> SweepRecord:
         e = elements[idx]
         lam_star.append(e.lambda_star)
         shifts.append(mode.lam - e.lambda_star)
-        pred, resid = assigned[(idx, mode.lam)]
-        predictions.append(pred)
-        residuals.append(resid)
-        overlaps.append(_overlap_diagnostics(mode, e, grams))
+        predictions.append(dict(laws[idx][0]))
+        residuals.append(mode.lam - branch_of[i])
+        overlaps.append(_overlap_diagnostics(mode.trace, e.host_coeffs, grams))
 
     return SweepRecord(
         l=l,
@@ -545,23 +496,27 @@ def write_sweep_csv(records, target) -> None:
         emit(target)
 
 
-def _series(records, element_pos: int, rank: int):
-    """(l, value) series for the rank-th root (by eigenvalue) of one element."""
-    shift_series, overlap_series, gap_series = [], [], []
+def _series(records, element_pos: int):
+    """One element's (l, value) series: shifts and overlap residuals per rank, and gaps.
+
+    Roots are ranked by eigenvalue within each record; a record contributes a
+    gap only when the element has exactly two roots there.
+    """
+    shift_series: dict[int, list] = {}
+    overlap_series: dict[int, list] = {}
+    gap_series = []
     for rec in records:
-        roots = [
-            (rec.eigenvalues[i], i)
-            for i in range(len(rec.eigenvalues))
-            if rec.element_index[i] == element_pos
-        ]
-        roots.sort()
+        roots = sorted(
+            (lam, i)
+            for i, (lam, idx) in enumerate(zip(rec.eigenvalues, rec.element_index))
+            if idx == element_pos
+        )
         if len(roots) == 2:
             gap_series.append((rec.l, roots[1][0] - roots[0][0]))
-        if rank < len(roots):
-            _, i = roots[rank]
-            shift_series.append((rec.l, rec.shifts[i]))
+        for rank, (_, i) in enumerate(roots):
+            shift_series.setdefault(rank, []).append((rec.l, rec.shifts[i]))
             if rec.overlaps[i]:
-                overlap_series.append((rec.l, rec.overlaps[i]["residual"]))
+                overlap_series.setdefault(rank, []).append((rec.l, rec.overlaps[i]["residual"]))
     return shift_series, overlap_series, gap_series
 
 
@@ -627,8 +582,9 @@ def verify_report(document) -> ReportBundle:
     ground_ok = all(min(r.eigenvalues) < min_single for r in records)
     verdicts["ground_below_min_single"] = {"pass": ground_ok, "min_single": min_single}
 
-    overlap_rates_ok, parity_ok = [], True
-    for pos, element in enumerate(elements):
+    overlap_rates_ok = []
+    series = [_series(records, pos) for pos in range(len(elements))]
+    for element, (shift_series, overlap_series, gap_series) in zip(elements, series):
         kappa = element.prediction.kappa
         entry: dict = {
             "lambda_star": element.lambda_star,
@@ -637,16 +593,13 @@ def verify_report(document) -> ReportBundle:
             "two_kappa": 2.0 * kappa,
             "four_kappa": 4.0 * kappa,
         }
-        n_roots = 2 if element.kind == "double" else 1
-        for rank in range(n_roots):
-            shift_series, overlap_series, gap_series = _series(records, pos, rank)
-            entry[f"shift_fit_rank{rank}"] = _fit_or_error(shift_series)
-            entry[f"overlap_fit_rank{rank}"] = _fit_or_error(overlap_series, ceiling=1.0)
-            fit = entry[f"overlap_fit_rank{rank}"]
+        for rank in range(len(element.host_coeffs)):  # one root per host window
+            entry[f"shift_fit_rank{rank}"] = _fit_or_error(shift_series.get(rank, []))
+            fit = _fit_or_error(overlap_series.get(rank, []), ceiling=1.0)
+            entry[f"overlap_fit_rank{rank}"] = fit
             if "rate" in fit:
                 overlap_rates_ok.append(abs(fit["rate"] / (2.0 * kappa) - 1.0) <= 0.25)
         if element.kind == "double":
-            _, _, gap_series = _series(records, pos, 0)
             half = [(l, 0.5 * g) for l, g in gap_series]
             fit = _fit_or_error(half)
             if "rate" in fit:
@@ -657,10 +610,9 @@ def verify_report(document) -> ReportBundle:
             entry["gap_fit"] = fit
         fits["elements"].append(entry)
 
-    mu_adjudication = None
+    # The case verdicts read the ground element: the lowest sigma* value.
+    element, entry, mu_adjudication = elements[0], fits["elements"][0], None
     if config.case == "double":
-        element = elements[0]
-        entry = fits["elements"][0]
         mu = element.prediction.mu
         gap_fit = entry.get("gap_fit", {})
         rate_ok = "rate" in gap_fit and abs(gap_fit["rate"] / entry["two_kappa"] - 1.0) <= 0.02
@@ -681,15 +633,12 @@ def verify_report(document) -> ReportBundle:
             min(r.eigenvalues) < element.lambda_star < max(r.eigenvalues) for r in records
         )
         verdicts["pair_straddles_lambda_star"] = {"pass": straddle}
-        for r in records:
-            order = np.argsort(r.eigenvalues)
-            if [r.parities[i] for i in order[:2]] != ["even", "odd"]:
-                parity_ok = False
+        parity_ok = all(
+            [r.parities[i] for i in np.argsort(r.eigenvalues)[:2]] == ["even", "odd"]
+            for r in records
+        )
         verdicts["parity_split_even_odd"] = {"pass": parity_ok}
     else:
-        ground_pos = 0
-        element = elements[ground_pos]
-        entry = fits["elements"][ground_pos]
         shift_fit = entry.get("shift_fit_rank0", {})
         rate_ok = "rate" in shift_fit and abs(shift_fit["rate"] / entry["four_kappa"] - 1.0) <= 0.05
         verdicts["shift_rate_4kappa"] = {
@@ -698,7 +647,7 @@ def verify_report(document) -> ReportBundle:
             "expected": entry["four_kappa"],
         }
         ground_shifts = [
-            s for r in records for s, i in zip(r.shifts, r.element_index) if i == ground_pos
+            s for r in records for s, i in zip(r.shifts, r.element_index) if i == 0
         ]
         # Domain monotonicity pins the sign only for the eigenvalue converging
         # to the lowest single-window level; a higher element's shift carries
@@ -711,8 +660,7 @@ def verify_report(document) -> ReportBundle:
             "shifts": ground_shifts,
         }
         mu_printed, mu_derived = element.prediction.mu_variants
-        shift_series, _, _ = _series(records, ground_pos, 0)
-        fitted = _pinned_prefactor(shift_series, entry["four_kappa"])
+        fitted = _pinned_prefactor(series[0][0].get(0, []), entry["four_kappa"])
         free = math.exp(shift_fit["log_prefactor"]) if "log_prefactor" in shift_fit else None
         rel = {
             "printed": abs(fitted / abs(mu_printed) - 1.0) if fitted and mu_printed else None,
@@ -743,9 +691,7 @@ def verify_report(document) -> ReportBundle:
         "a_plus": config.a_plus,
         "d": config.d,
         "l_values": sorted(l_values),
-        "settings": serialize_problem(
-            Geometry(d=config.d, windows=(WindowSpec(0.0, config.a_minus),)), settings
-        )["settings"],
+        "settings": serialize_settings(settings),
     }
     return ReportBundle(
         schema_version=SCHEMA_VERSION,
@@ -758,9 +704,3 @@ def verify_report(document) -> ReportBundle:
         verdicts=verdicts,
         mu_adjudication=mu_adjudication,
     )
-
-
-def sweep_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_sweep_csv(records, buf)
-    return buf.getvalue()

@@ -90,6 +90,9 @@ class SolverSettings:
     def __post_init__(self):
         if not isinstance(self.basis_order, int) or self.basis_order < 4:
             raise ValidationError(f"basis_order must be an integer >= 4, got {self.basis_order}")
+        for name in ("threshold_margin", "lambda_floor", "xi_max", "panel_width", "bisect_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.threshold_margin <= 0:
             raise ValidationError("threshold_margin must be positive")
         if self.lambda_floor < 0:
@@ -110,46 +113,47 @@ class SolverSettings:
         return 1.0 - self.threshold_margin
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _object(value, allowed: set, where: str) -> dict:
+    """A config object with no keys outside `allowed`."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object")
+    unknown = set(value) - allowed
     if unknown:
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{where} is an integer too large for a float") from exc
 
 
-def parse_settings(raw: dict) -> SolverSettings:
-    _reject_unknown(raw, _SETTINGS_KEYS, "settings")
+def parse_settings(raw) -> SolverSettings:
+    _object(raw, _SETTINGS_KEYS, "settings")
     kwargs = {}
     if "basis_order" in raw:
-        n = raw["basis_order"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValidationError(f"basis_order must be an integer, got {n!r}")
-        kwargs["basis_order"] = n
+        kwargs["basis_order"] = _integer(raw["basis_order"], "basis_order")
     for key in ("threshold_margin", "lambda_floor"):
         if key in raw:
             kwargs[key] = _number(raw[key], f"settings.{key}")
-    quad = raw.get("quadrature", {})
-    if not isinstance(quad, dict):
-        raise ValidationError("settings.quadrature must be an object")
-    _reject_unknown(quad, _QUAD_KEYS, "settings.quadrature")
+    quad = _object(raw.get("quadrature", {}), _QUAD_KEYS, "settings.quadrature")
     if "xi_max" in quad:
         kwargs["xi_max"] = _number(quad["xi_max"], "settings.quadrature.xi_max")
     if "panel_points" in quad:
-        p = quad["panel_points"]
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ValidationError(f"panel_points must be an integer, got {p!r}")
-        kwargs["panel_points"] = p
+        kwargs["panel_points"] = _integer(quad["panel_points"], "panel_points")
     if "panel_width" in quad:
         kwargs["panel_width"] = _number(quad["panel_width"], "settings.quadrature.panel_width")
-    scan = raw.get("scan", {})
-    if not isinstance(scan, dict):
-        raise ValidationError("settings.scan must be an object")
-    _reject_unknown(scan, _SCAN_KEYS, "settings.scan")
+    scan = _object(raw.get("scan", {}), _SCAN_KEYS, "settings.scan")
     if "grid_step" in scan:  # echoed by verify bundles at SCHEMA_VERSION 1; no longer used
         _number(scan["grid_step"], "settings.scan.grid_step")
     if "bisect_tol" in scan:
@@ -162,7 +166,7 @@ def _load_object(document) -> dict:
     if isinstance(document, (str, bytes)):
         try:
             raw = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     elif isinstance(document, dict):
         raw = document
@@ -181,7 +185,7 @@ def parse_problem(document) -> tuple[Geometry, SolverSettings]:
     """
     raw = _load_object(document)
     allowed = {"d", "windows", "a_minus", "a_plus", "l", "settings"}
-    _reject_unknown(raw, allowed, "config")
+    _object(raw, allowed, "config")
     if "d" not in raw:
         raise ValidationError("config requires the lower strip width 'd'")
     d = _number(raw["d"], "d")
@@ -204,9 +208,7 @@ def parse_problem(document) -> tuple[Geometry, SolverSettings]:
             raise ValidationError("'windows' must be a list of 1 or 2 window objects")
         windows = []
         for i, item in enumerate(spec):
-            if not isinstance(item, dict):
-                raise ValidationError(f"windows[{i}] must be an object")
-            _reject_unknown(item, {"center", "half_width"}, f"windows[{i}]")
+            _object(item, {"center", "half_width"}, f"windows[{i}]")
             if "center" not in item or "half_width" not in item:
                 raise ValidationError(f"windows[{i}] requires center and half_width")
             windows.append(
@@ -218,12 +220,7 @@ def parse_problem(document) -> tuple[Geometry, SolverSettings]:
 
     windows.sort(key=lambda w: w.center)
     geometry = Geometry(d=d, windows=tuple(windows))
-
-    settings_raw = raw.get("settings", {})
-    if not isinstance(settings_raw, dict):
-        raise ValidationError("settings must be an object")
-    settings = parse_settings(settings_raw)
-    return geometry, settings
+    return geometry, parse_settings(raw.get("settings", {}))
 
 
 def serialize_problem(geometry: Geometry, settings: SolverSettings) -> dict:
@@ -233,15 +230,20 @@ def serialize_problem(geometry: Geometry, settings: SolverSettings) -> dict:
         "windows": [
             {"center": w.center, "half_width": w.half_width} for w in geometry.windows
         ],
-        "settings": {
-            "basis_order": settings.basis_order,
-            "threshold_margin": settings.threshold_margin,
-            "lambda_floor": settings.lambda_floor,
-            "quadrature": {
-                "xi_max": settings.xi_max,
-                "panel_points": settings.panel_points,
-                "panel_width": settings.panel_width,
-            },
-            "scan": {"bisect_tol": settings.bisect_tol},
+        "settings": serialize_settings(settings),
+    }
+
+
+def serialize_settings(settings: SolverSettings) -> dict:
+    """Round-trippable settings document: parse_settings(serialize_settings(s)) == s."""
+    return {
+        "basis_order": settings.basis_order,
+        "threshold_margin": settings.threshold_margin,
+        "lambda_floor": settings.lambda_floor,
+        "quadrature": {
+            "xi_max": settings.xi_max,
+            "panel_points": settings.panel_points,
+            "panel_width": settings.panel_width,
         },
+        "scan": {"bisect_tol": settings.bisect_tol},
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import eval_chebyu
+from scipy.special import eval_chebyu, jv
 
 from winguide.errors import NumericalFailureError, ValidationError
 
@@ -64,6 +64,16 @@ def edge_basis(n: int, a: float, t):
     """The window trace basis sqrt(a^2 - t^2) U_n(t/a), window centered at 0."""
     t = np.asarray(t, dtype=float)
     return np.sqrt(np.maximum(a * a - t * t, 0.0)) * eval_chebyu(n, t / a)
+
+
+def basis_ft(n: int, a: float, xi: float) -> complex:
+    """Closed-form transform pi a^2 i^n (n+1) J_{n+1}(a xi)/(a xi) of b_n.
+
+    Removable point: bhat_0(0) = pi a^2/2, bhat_n(0) = 0 for n >= 1.
+    """
+    x = a * xi
+    ratio = (0.5 if n == 0 else 0.0) if abs(x) < 1e-12 else jv(n + 1, x) / x
+    return complex((1j ** n) * math.pi * a * a * (n + 1) * ratio)
 
 
 def quad_basis_ft(n: int, a: float, xi: float) -> complex:

@@ -11,7 +11,6 @@ from winguide import assembly
 from winguide.assembly import (
     assemble_exp_rhs,
     assemble_galerkin,
-    basis_ft,
     basis_overlap_gram,
     norm_matrix,
     tail_estimate,
@@ -25,16 +24,18 @@ def _single(a=1.0, d=2.0, **kw):
 
 
 def test_basis_ft_at_zero():
-    assert basis_ft(0, 1.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-14)
-    assert basis_ft(3, 1.7, 0.0) == 0.0
-    assert basis_ft(1, 1.0, 0.0) == 0.0
+    assert oracles.basis_ft(0, 1.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-14)
+    assert oracles.basis_ft(3, 1.7, 0.0) == 0.0
+    assert oracles.basis_ft(1, 1.0, 0.0) == 0.0
 
 
 def test_basis_ft_matches_quadrature_oracle():
+    # row n of the production beta table is bhat_n / i^n
     for n, a, xi in [(1, 1.0, 2.5), (0, 1.0, 0.7), (2, 0.8, 1.9), (5, 1.3, 4.2)]:
-        assert basis_ft(n, a, xi) == pytest.approx(
-            oracles.quad_basis_ft(n, a, xi), abs=1e-10
-        )
+        expected = oracles.quad_basis_ft(n, a, xi)
+        assert oracles.basis_ft(n, a, xi) == pytest.approx(expected, abs=1e-10)
+        beta = assembly.beta_matrix(a, n + 1, np.array([xi]))[n, 0]
+        assert (1j ** n) * beta == pytest.approx(expected, abs=1e-10)
 
 
 def test_exp_rhs_small_kappa_limits():

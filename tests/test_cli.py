@@ -128,6 +128,31 @@ def test_bad_config_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("modes", '{"d": 1' + "0" * 400 + ', "windows": [{"center": 0.0, "half_width": 1.0}]}'),
+        ("verify", '{"a_minus": 1.0, "a_plus": 1.0, "d": 2.0, "l_values": [1' + "0" * 400 + "]}"),
+        ("modes", '{"d": ' + "1" * 5000 + "}"),
+    ],
+    ids=["modes-float-overflow", "verify-float-overflow", "modes-digit-limit"],
+)
+def test_huge_integer_config_exit_two(tmp_path, capsys, command, document):
+    path = tmp_path / "huge.json"
+    path.write_text(document)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_undecodable_config_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"d": 2.0}')
+    assert main(["modes", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+
 def test_sweep_csv_stdout(double_cfg, capsys):
     assert main(["sweep", double_cfg, "--l", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,5 +1,6 @@
 """Tests for geometry parsing, validation, and serialization."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from winguide.errors import ValidationError
+from winguide.experiments import parse_experiment_config
 from winguide.geometry import (
     Geometry,
     SolverSettings,
@@ -163,6 +165,13 @@ def test_geometry_invariants_direct():
     assert g.windows[0].right == 1.0
 
 
+def test_settings_reject_non_finite_values():
+    for name in ("threshold_margin", "lambda_floor", "xi_max", "panel_width", "bisect_tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                SolverSettings(**{name: bad})
+
+
 def test_settings_validation():
     with pytest.raises(ValidationError):
         SolverSettings(basis_order=2)
@@ -188,3 +197,93 @@ def test_randomized_invalid_configs_rejected():
             doc = {"d": 2.0, "a_minus": a, "a_plus": a, "l": l}
         with pytest.raises(ValidationError):
             parse_problem(doc)
+
+
+_SETTINGS_DOCUMENT = {
+    "basis_order": 16,
+    "threshold_margin": 1e-6,
+    "lambda_floor": 1e-2,
+    "quadrature": {"xi_max": 200.0, "panel_points": 12, "panel_width": 1.0},
+    "scan": {"grid_step": 1e-3, "bisect_tol": 1e-12},
+}
+_SETTINGS_PATHS = [
+    ("settings", "basis_order"),
+    ("settings", "threshold_margin"),
+    ("settings", "lambda_floor"),
+    ("settings", "quadrature", "xi_max"),
+    ("settings", "quadrature", "panel_points"),
+    ("settings", "quadrature", "panel_width"),
+    ("settings", "scan", "grid_step"),
+    ("settings", "scan", "bisect_tol"),
+]
+_WINDOWS_DOCUMENT = {
+    "d": 2.0,
+    "windows": [{"center": -3.0, "half_width": 1.2}, {"center": 3.0, "half_width": 0.8}],
+    "settings": _SETTINGS_DOCUMENT,
+}
+_SHORTHAND_DOCUMENT = {"d": 2.0, "a_minus": 1.2, "a_plus": 0.8, "l": 3.0}
+_EXPERIMENT_DOCUMENT = {
+    "case": "simple",
+    "a_minus": 1.2,
+    "a_plus": 0.8,
+    "d": 2.0,
+    "l_values": [2.5, 3.0],
+    "settings": _SETTINGS_DOCUMENT,
+}
+_NUMERIC_FIELDS = [
+    *(
+        (parse_problem, _WINDOWS_DOCUMENT, path)
+        for path in [
+            ("d",),
+            ("windows", 0, "center"),
+            ("windows", 1, "half_width"),
+            *_SETTINGS_PATHS,
+        ]
+    ),
+    *((parse_problem, _SHORTHAND_DOCUMENT, (key,)) for key in ("d", "a_minus", "a_plus", "l")),
+    *(
+        (parse_experiment_config, _EXPERIMENT_DOCUMENT, path)
+        for path in [("a_minus",), ("a_plus",), ("d",), ("l_values", 1), *_SETTINGS_PATHS]
+    ),
+]
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    | st.text(max_size=6)
+)
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@hyp_settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(_NUMERIC_FIELDS), value=_JSON_VALUES, as_text=st.booleans())
+def test_any_json_value_in_a_numeric_field_raises_only_validation_errors(field, value, as_text):
+    parse, base, path = field
+    document = copy.deepcopy(base)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parsed = parse(json.dumps(document) if as_text else document)
+    except ValidationError:
+        return
+    # every accepted float setting is finite, so no NaN or inf reaches the solver
+    values = [getattr(parsed[-1], f.name) for f in dataclasses.fields(SolverSettings)]
+    assert all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+@pytest.mark.parametrize("parse", [parse_problem, parse_experiment_config])
+def test_integers_beyond_float_or_digit_range_rejected(parse):
+    base = _WINDOWS_DOCUMENT if parse is parse_problem else _EXPERIMENT_DOCUMENT
+    with pytest.raises(ValidationError, match="d is an integer too large"):
+        parse({**base, "d": 10**400})
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        parse('{"d": ' + "1" * 5000 + "}")

@@ -141,3 +141,23 @@ def test_scan_independent_of_table_cache():
     warm = scan_eigenvalues(geometry, SolverSettings())
     assert [r.lam for r in cold] == [r.lam for r in warm]
     assert all(np.array_equal(c.coeffs, w.coeffs) for c, w in zip(cold, warm))
+
+
+def test_eigenvalues_invariant_under_reflection():
+    pair = Geometry(d=2.0, windows=(WindowSpec(-2.5, 1.2), WindowSpec(2.5, 0.8)))
+    mirror = Geometry(d=2.0, windows=(WindowSpec(-2.5, 0.8), WindowSpec(2.5, 1.2)))
+    lams = [r.lam for r in scan_eigenvalues(pair, SolverSettings())]
+    mirrored = [r.lam for r in scan_eigenvalues(mirror, SolverSettings())]
+    assert len(lams) >= 2
+    np.testing.assert_allclose(mirrored, lams, rtol=0.0, atol=1e-12)
+
+
+def test_single_window_eigenvalues_fall_with_half_width():
+    # domain monotonicity: widening the window lowers every eigenvalue
+    spectra = [
+        [r.lam for r in scan_eigenvalues(Geometry(2.0, (WindowSpec(0.0, a),)), SolverSettings())]
+        for a in (0.8, 1.0, 1.2)
+    ]
+    for narrow, wide in zip(spectra, spectra[1:]):
+        assert 1 <= len(narrow) <= len(wide)
+        assert all(w < n for n, w in zip(narrow, wide))
