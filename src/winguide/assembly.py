@@ -65,6 +65,11 @@ __all__ = [
 ]
 
 
+# one Miller step grows a value by up to 2k/x; from below the 1e250 rescale
+# point it must stay finite, so x is bounded well away from 2k/1e58
+_MIN_BESSEL_ARG = 1e-30
+
+
 @functools.cache
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(points)
@@ -121,13 +126,55 @@ def graded_edges(xi_max: float, width: float) -> np.ndarray:
 def beta_matrix(a: float, orders: int, nodes: np.ndarray) -> np.ndarray:
     """B[n, q] = pi a^2 (n+1) J_{n+1}(a xi_q)/(a xi_q) for n = 0..orders-1.
 
-    Nodes must be positive (Gauss nodes never sit on 0); the xi -> 0 limit is
-    pi a^2/2 for n = 0 and 0 otherwise, handled by callers that need xi = 0.
+    J_1..J_N (N = orders) come from one vectorized three-term recurrence,
+    J_{k-1} + J_{k+1} = (2k/x) J_k, split at x = N:
+
+      * x > N: upward from j0(x), j1(x); stable because every k < x;
+      * x <= N: Miller's downward recurrence from (J_{M+1}, J_M) = (0, tiny),
+        M = N + 40 + 2 ceil(sqrt(40 N)), rescaled by 1e-250 whenever a value
+        exceeds 1e250, then normalized per node by whichever of j0(x), j1(x)
+        is larger in magnitude (they have no common zero).
+
+    Rows are written straight into the output and scaled in place; only three
+    rows of recurrence state are live. Nodes must satisfy a xi >= 1e-30 (Gauss
+    nodes never sit on 0); the xi -> 0 limit is pi a^2/2 for n = 0 and 0
+    otherwise, handled by callers that need xi = 0.
     """
     x = a * np.asarray(nodes, dtype=float)
+    if x.size and not np.min(x) >= _MIN_BESSEL_ARG:
+        raise UnsupportedArgumentError(
+            f"a*xi = {np.min(x):.3g} below validated Bessel-J range ({_MIN_BESSEL_ARG:g})"
+        )
     out = np.empty((orders, x.size))
-    for n in range(orders):
-        out[n] = np.pi * a * a * (n + 1) * _sp.jv(n + 1, x) / x
+    up = x > orders
+    down = ~up
+    factor = np.pi * a * a / x  # times (n+1) below; times the Miller norm on `down`
+    if np.any(up):
+        xu = x[up]
+        prev, cur = _sp.j0(xu), _sp.j1(xu)
+        out[0, up] = cur
+        for k in range(1, orders):
+            prev, cur = cur, (2.0 * k / xu) * cur - prev
+            out[k, up] = cur
+    if np.any(down):
+        xd = x[down]
+        cols = np.flatnonzero(down)
+        nxt, cur = np.zeros_like(xd), np.full_like(xd, 1e-280)
+        start = orders + 40 + 2 * int(np.ceil(np.sqrt(40.0 * orders)))
+        for k in range(start, 0, -1):  # (J_k, J_{k+1}) -> (J_{k-1}, J_k)
+            nxt, cur = cur, (2.0 * k / xd) * cur - nxt
+            big = np.abs(cur) > 1e250
+            if np.any(big):  # rows k-1.. already hold J_k..J_N
+                cur[big] *= 1e-250
+                nxt[big] *= 1e-250
+                out[k - 1 :, cols[big]] *= 1e-250
+            if 2 <= k <= orders + 1:
+                out[k - 2, cols] = cur
+        j0, j1 = _sp.j0(xd), _sp.j1(xd)
+        by_j0 = np.abs(j0) >= np.abs(j1)
+        factor[down] *= np.where(by_j0, j0, j1) / np.where(by_j0, cur, nxt)
+    out *= factor
+    out *= np.arange(1.0, orders + 1.0)[:, None]
     return out
 
 
@@ -323,10 +370,8 @@ def cross_kernel_series(lam: float, d: float, gap: float, k_cap: int = 50000):
 def _scaled_moments(a: float, orders: int, kappas: np.ndarray) -> np.ndarray:
     """g_n(kappa) e^{-a kappa}: moments pi a^2 (n+1) I_{n+1}(a k)/(a k), ive-scaled."""
     x = a * kappas
-    out = np.empty((orders, x.size))
-    for n in range(orders):
-        out[n] = np.pi * a * a * (n + 1) * _sp.ive(n + 1, x) / x
-    return out
+    n = np.arange(1.0, orders + 1.0)[:, None]
+    return np.pi * a * a * n * _sp.ive(n, x[None, :]) / x
 
 
 def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int) -> np.ndarray:

@@ -371,7 +371,7 @@ def _sweep(config: SweepConfig, l_values, settings: SolverSettings):
     """Single-window spectra, sigma* elements, u-problem entries and one record per l.
 
     The l values are taken in increasing order and must all lie in the
-    separated regime l >= max(a_minus, a_plus) + 1.
+    separated regime l >= max(a_minus, a_plus) + 1; sigma* must not be empty.
     """
     l_values = sorted(float(l) for l in l_values)
     if not l_values:
@@ -380,6 +380,11 @@ def _sweep(config: SweepConfig, l_values, settings: SolverSettings):
     if l_values[0] < l_min:
         raise ValidationError(f"l = {l_values[0]} below the separated regime l >= {l_min}")
     singles, elements, u_entries = _build_elements(config, settings)
+    if not elements:
+        raise InsufficientDataError(
+            "sigma* is empty: no single-window mode in the admissible band "
+            f"({settings.lambda_floor}, {settings.lambda_max})"
+        )
     grams = (
         basis_overlap_gram(config.a_minus, settings.basis_order),
         basis_overlap_gram(config.a_plus, settings.basis_order),
@@ -576,9 +581,7 @@ def verify_report(document) -> ReportBundle:
         "pass": len(set(counts)) == 1 and not any(r.flags for r in records),
         "counts": counts,
     }
-    min_single = min(
-        min(m.lam for m in singles["minus"]), min(m.lam for m in singles["plus"])
-    )
+    min_single = min(m.lam for modes in singles.values() for m in modes)
     ground_ok = all(min(r.eigenvalues) < min_single for r in records)
     verdicts["ground_below_min_single"] = {"pass": ground_ok, "min_single": min_single}
 

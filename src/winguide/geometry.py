@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 GAP_MIN = 1e-6
+MAX_BASIS_ORDER = 128  # well above the N = 48 of the basis-convergence check
+MAX_PANEL_POINTS = 128
 
 _SETTINGS_KEYS = {"basis_order", "threshold_margin", "lambda_floor", "quadrature", "scan"}
 _QUAD_KEYS = {"xi_max", "panel_points", "panel_width"}
@@ -88,8 +90,8 @@ class SolverSettings:
     bisect_tol: float = 1e-12
 
     def __post_init__(self):
-        if not isinstance(self.basis_order, int) or self.basis_order < 4:
-            raise ValidationError(f"basis_order must be an integer >= 4, got {self.basis_order}")
+        if not isinstance(self.basis_order, int) or not 4 <= self.basis_order <= MAX_BASIS_ORDER:
+            raise ValidationError(f"basis_order must be an integer in [4, {MAX_BASIS_ORDER}]")
         for name in ("threshold_margin", "lambda_floor", "xi_max", "panel_width", "bisect_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -101,8 +103,8 @@ class SolverSettings:
             raise ValidationError("admissible band (lambda_floor, 1 - threshold_margin) is empty")
         if self.xi_max < 50.0:
             raise ValidationError("xi_max must be >= 50")
-        if not isinstance(self.panel_points, int) or self.panel_points < 4:
-            raise ValidationError("panel_points must be an integer >= 4")
+        if not isinstance(self.panel_points, int) or not 4 <= self.panel_points <= MAX_PANEL_POINTS:
+            raise ValidationError(f"panel_points must be an integer in [4, {MAX_PANEL_POINTS}]")
         if self.panel_width <= 0:
             raise ValidationError("panel_width must be positive")
         if self.bisect_tol <= 0:

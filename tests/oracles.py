@@ -76,6 +76,15 @@ def basis_ft(n: int, a: float, xi: float) -> complex:
     return complex((1j ** n) * math.pi * a * a * (n + 1) * ratio)
 
 
+def beta_matrix_jv(a: float, orders: int, nodes) -> np.ndarray:
+    """pi a^2 (n+1) J_{n+1}(a xi)/(a xi), one scipy `jv` call per order n."""
+    x = a * np.asarray(nodes, dtype=float)
+    out = np.empty((orders, x.size))
+    for n in range(orders):
+        out[n] = np.pi * a * a * (n + 1) * jv(n + 1, x) / x
+    return out
+
+
 def quad_basis_ft(n: int, a: float, xi: float) -> complex:
     """Adaptive quadrature of int b_n(t) e^{i xi t} dt."""
     re, _ = quad(lambda t: float(edge_basis(n, a, t)) * math.cos(xi * t),

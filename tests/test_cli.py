@@ -146,6 +146,45 @@ def test_huge_integer_config_exit_two(tmp_path, capsys, command, document):
     assert "Traceback" not in err
 
 
+def test_basis_order_beyond_ceiling_exit_two(tmp_path, capsys):
+    path = tmp_path / "order.json"
+    path.write_text(
+        '{"d": 2.0, "windows": [{"center": 0.0, "half_width": 1.0}], '
+        '"settings": {"basis_order": 1' + "0" * 399 + "}}"
+    )
+    assert main(["modes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis_order must be an integer in [4, 128]")
+    assert "Traceback" not in err
+
+
+def test_verify_empty_sigma_star_exit_two(tmp_path, capsys):
+    # the single window's only mode (0.935) lies above the band (0.01, 0.7)
+    document = {"a_minus": 1.0, "a_plus": 1.0, "d": 2.0, "l_values": [4.0, 5.0],
+                "settings": {"threshold_margin": 0.3}}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(document))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma* is empty")
+    assert "Traceback" not in err
+
+
+def test_verify_with_one_window_below_band(tmp_path, capsys):
+    # a = 0.5 has no mode below 0.7, so sigma* holds only the a = 3 modes
+    document = {"a_minus": 3.0, "a_plus": 0.5, "d": 2.0, "l_values": [4.0, 4.5],
+                "settings": {"threshold_margin": 0.3}}
+    path = tmp_path / "one_sided.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--out", str(out)]) in (0, 4)
+    report = _strict_loads(out.read_text())
+    assert report["single_windows"]["plus"]["modes"] == []
+    lowest = report["single_windows"]["minus"]["modes"][0]["lambda"]
+    assert report["verdicts"]["ground_below_min_single"]["min_single"] == lowest
+    capsys.readouterr()
+
+
 def test_undecodable_config_exit_two(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'\xff{"d": 2.0}')

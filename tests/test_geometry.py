@@ -12,6 +12,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from winguide.errors import ValidationError
 from winguide.experiments import parse_experiment_config
 from winguide.geometry import (
+    MAX_BASIS_ORDER,
+    MAX_PANEL_POINTS,
     Geometry,
     SolverSettings,
     WindowSpec,
@@ -170,6 +172,15 @@ def test_settings_reject_non_finite_values():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 SolverSettings(**{name: bad})
+
+
+def test_settings_integer_ceilings():
+    assert SolverSettings(basis_order=MAX_BASIS_ORDER, panel_points=MAX_PANEL_POINTS)
+    with pytest.raises(ValidationError, match="basis_order"):
+        SolverSettings(basis_order=MAX_BASIS_ORDER + 1)
+    with pytest.raises(ValidationError, match="panel_points"):
+        SolverSettings(panel_points=MAX_PANEL_POINTS + 1)
+    assert MAX_BASIS_ORDER >= 64 and MAX_PANEL_POINTS >= 64  # the round-trip strategy's top
 
 
 def test_settings_validation():

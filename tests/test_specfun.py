@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from winguide.assembly import _scaled_moments, assemble_exp_rhs, beta_matrix
-from winguide.errors import ThresholdError
+from winguide.assembly import (
+    _scaled_moments,
+    assemble_exp_rhs,
+    beta_matrix,
+    gl_panels,
+    graded_edges,
+)
+from winguide.errors import ThresholdError, UnsupportedArgumentError
 from winguide.geometry import WindowSpec
 from winguide.specfun import dtn_symbol, mode_kappa
 
@@ -67,6 +73,32 @@ def test_bessel_j_recurrence():
         rhs = (2.0 * n / x) * j[n - 1]
         scale = max(abs(lhs), abs(rhs), 1e-3)
         assert abs(lhs - rhs) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("orders", [4, 16, 32, 48])
+def test_beta_matrix_recurrence_matches_jv_oracle(orders):
+    # both recurrence branches and the switch at x = N, on thinned production
+    # nodes plus arguments within 3 of N and down to 1e-13
+    for a in (0.5, 1.0, 1.5, 2.7, 3.0):
+        for xi_max in (200.0, 800.0):
+            nodes, _ = gl_panels(graded_edges(xi_max, min(1.0, np.pi / (2.0 * a))), 24)
+            x = np.concatenate([
+                a * nodes[::16],
+                np.linspace(orders - 3.0, orders + 3.0, 241),
+                np.geomspace(1e-13, 1.0, 27),
+            ])
+            got = beta_matrix(a, orders, x / a)
+            want = oracles.beta_matrix_jv(a, orders, x / a)
+            assert np.all(np.isfinite(got))
+            row_max = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 5e-14 * row_max), (a, xi_max)
+
+
+def test_beta_matrix_rejects_arguments_below_its_range():
+    with pytest.raises(UnsupportedArgumentError):
+        beta_matrix(1.0, 4, np.array([1.0, 1e-31]))
+    with pytest.raises(UnsupportedArgumentError):
+        beta_matrix(1.0, 4, np.array([0.0]))
 
 
 def test_bessel_i_values():
