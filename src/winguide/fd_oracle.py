@@ -3,10 +3,13 @@
 Independent cross-check for the Galerkin solver: the two coupled strips are
 truncated at x1 = +-L with Dirichlet walls and discretized by a symmetric
 finite-volume scheme on a tensor grid, giving a sparse positive definite
-matrix. Its smallest eigenvalues come from ARPACK in shift-invert mode about
-zero on a sparse LU factorization, started from a seeded vector so that
-repeated runs agree bitwise. Richardson extrapolation over a nested mesh
-family removes the leading mesh error.
+matrix. The number of its eigenvalues below the threshold 1 is counted once,
+on the coarsest mesh, by Sylvester's law of inertia (the negative pivots of an
+unpivoted sparse LDL^T of C - I); no level can keep more. That many smallest
+eigenvalues then come from ARPACK in shift-invert mode about zero on a sparse
+LU factorization, started from a seeded vector so that repeated runs agree
+bitwise. Richardson extrapolation over a nested mesh family removes the
+leading mesh error.
 
 Error budget, documented rather than hidden:
 
@@ -37,6 +40,8 @@ from .errors import InsufficientDataError, NumericalFailureError, ValidationErro
 from .geometry import Geometry
 
 _SEED = 97
+# about six times criterion 1's finest mesh (a = 1, L = 20, h = 0.025: 325k nodes)
+MAX_MESH_NODES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class GridSpec:
             raise ValidationError(f"grid step h must be positive and finite, got {self.h}")
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValidationError(f"truncation half-length L must be positive, got {self.L}")
+        if not math.isfinite(self.L / self.h):
+            raise ValidationError(f"L / h must be finite, got L = {self.L}, h = {self.h}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,39 @@ class Extrapolation:
         yield self.error_estimate
 
 
+def _subdivisions(geometry: Geometry, grid: GridSpec):
+    """Coarsest-level subdivision counts of the mesh family.
+
+    Returns the x segments between consecutive breakpoints (-L, the window
+    edges, +L) as (lo, hi, n) triples, n = max(1, round((hi - lo) / h)), and
+    the row counts above and below the interface (pi and d over h, rounded;
+    0 below when there are no windows). Level `refine` multiplies every count
+    by `refine`. Odd-numbered segments lie between a window's edges.
+    """
+    breakpoints = [-grid.L]
+    for w in geometry.windows:
+        breakpoints.extend([w.left, w.right])
+    breakpoints.append(grid.L)
+    segments = [
+        (lo, hi, max(1, round((hi - lo) / grid.h)))
+        for lo, hi in zip(breakpoints[:-1], breakpoints[1:])
+    ]
+    m_up = max(1, round(math.pi / grid.h))
+    m_dn = max(1, round(geometry.d / grid.h)) if geometry.windows else 0
+    return segments, m_up, m_dn
+
+
+def _node_count(geometry: Geometry, grid: GridSpec, refine: int) -> int:
+    """`_Mesh(geometry, grid, refine).n_nodes`, by arithmetic alone (no arrays)."""
+    segments, m_up, m_dn = _subdivisions(geometry, grid)
+    columns = sum(n for _, _, n in segments) * refine - 1
+    if not geometry.windows:
+        return columns * (m_up * refine - 1)
+    # every column has the rows off the interface; interface nodes sit strictly inside windows
+    interface = sum(n * refine - 1 for _, _, n in segments[1::2])
+    return columns * ((m_up + m_dn) * refine - 2) + interface
+
+
 class _Mesh:
     """Tensor-product finite-volume mesh for the truncated two-strip domain.
 
@@ -124,25 +164,20 @@ class _Mesh:
         self.grid = grid
         self.refine = refine
         self.h_nominal = grid.h / refine
-        L = grid.L
+        segments, m_up, m_dn = _subdivisions(geometry, grid)
 
-        breakpoints = [-L]
-        for w in geometry.windows:
-            breakpoints.extend([w.left, w.right])
-        breakpoints.append(L)
-        xs = [np.array([-L])]
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-            n_seg = max(1, round((hi - lo) / grid.h)) * refine
-            xs.append(np.linspace(lo, hi, n_seg + 1)[1:])
+        xs = [np.array([-grid.L])]
+        for lo, hi, n_seg in segments:
+            xs.append(np.linspace(lo, hi, n_seg * refine + 1)[1:])
         x_all = np.concatenate(xs)
         self.x = x_all[1:-1]
         self.hx = np.diff(x_all)
         self.wx = 0.5 * (self.hx[:-1] + self.hx[1:])
 
-        m_up = max(1, round(math.pi / grid.h)) * refine
+        m_up *= refine
         hy_up = math.pi / m_up
         if geometry.windows:
-            m_dn = max(1, round(geometry.d / grid.h)) * refine
+            m_dn *= refine
             hy_dn = geometry.d / m_dn
             y_dn = -geometry.d + hy_dn * np.arange(1, m_dn)
             y_up = hy_up * np.arange(1, m_up)
@@ -255,6 +290,38 @@ def _assemble(mesh: _Mesh):
     return sparse.csc_matrix((entries, (rows, cols)), shape=(n, n))
 
 
+def _count_below(C, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric sparse matrix C below sigma.
+
+    Factors C - sigma I without pivoting (a symmetric fill-reducing ordering,
+    diagonal pivots only), so P (C - sigma I) P^T = L D L^T with D the
+    diagonal of U. By Sylvester's law of inertia the negative entries of D
+    count the eigenvalues below sigma. A zero pivot makes SuperLU either pivot
+    off the diagonal (a row permutation other than the column one) or stop
+    on a singular factor; neither leaves an inertia to read, and both raise
+    NumericalFailureError.
+    """
+    # imported here, as in _smallest_eigenpairs, for start-up time
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    shifted = (C - sigma * sparse.identity(C.shape[0], format="csc")).tocsc()
+    try:
+        lu = splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise NumericalFailureError(f"LDL^T of C - {sigma} I failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalFailureError(
+            f"LDL^T of C - {sigma} I needed off-diagonal pivots; its inertia is unknown"
+        )
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
 def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """The `count` smallest eigenpairs of the sparse matrix C, in ascending order.
 
@@ -262,6 +329,8 @@ def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
     returns exactly the smallest eigenvalues. Each Lanczos step is one solve
     with a sparse LU factorization of C; the solves are counted. The start
     vector is seeded, so the result does not change from call to call.
+    Callers ask for no more pairs than they keep: at tol = 0 ARPACK spends
+    most of its solves on any wanted eigenvalue in the continuum above 1.
     """
     # imported here: scipy.sparse.linalg would add to the start-up of every command
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
@@ -313,13 +382,18 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     validation rectangle; its spectrum sits entirely above 1, so the below-1
     filter is skipped there and the raw smallest eigenvalues are reported.
 
+    With windows, the eigenvalues below 1 on the coarsest mesh are counted by
+    inertia (`diagnostics["count_below_one"]`), and every level asks ARPACK
+    for only min(count, that count) eigenpairs: the result is truncated to the
+    shortest level's list, which cannot be longer. A coarsest count of 0
+    gives the empty result with no eigensolve at all.
+
     Truncation bias is O(e^{-2 kappa (L - a)}) and is estimated in the
     diagnostics from the computed ground state; it is not removed.
     """
-    if not isinstance(count, int) or count < 1:
-        raise ValidationError(f"count must be a positive integer, got {count}")
-    if not isinstance(levels, int) or levels < 1:
-        raise ValidationError(f"levels must be a positive integer, got {levels}")
+    for name, value in (("count", count), ("levels", levels)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if grid.h > 0.1 + 1e-12:
         raise ValidationError(f"oracle requires h <= 0.1, got {grid.h}")
     extent = max((max(abs(w.left), abs(w.right)) for w in geometry.windows), default=0.0)
@@ -327,19 +401,34 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         raise ValidationError(
             f"truncation L = {grid.L} too close to the windows; need L >= {extent + 10.0}"
         )
+    coarsest = _node_count(geometry, grid, 1)
+    if count >= coarsest:
+        raise ValidationError(f"count must be below the mesh node count {coarsest}, got {count}")
+    # node counts grow about fourfold per level, so this stops within a dozen levels
+    for lev in range(levels):
+        nodes = _node_count(geometry, grid, 2**lev)
+        if nodes > MAX_MESH_NODES:
+            raise ValidationError(
+                f"mesh level {lev + 1} of {levels} would have {nodes} nodes, more than "
+                f"{MAX_MESH_NODES}; use a larger h or fewer levels"
+            )
 
     level_values: list[tuple[float, tuple[float, ...]]] = []
     level_diags = []
     ground = None
+    below_one = None
+    wanted = count
     for lev in range(levels):
         mesh = _Mesh(geometry, grid, 2**lev)
-        if count >= mesh.n_nodes:
-            raise ValidationError(
-                f"count must be below the mesh node count {mesh.n_nodes}, got {count}"
-            )
-        C = _assemble(mesh)
-        vals, vecs, diag = _smallest_eigenpairs(C, count)
-        if geometry.windows:
+        C = _assemble(mesh) if wanted else None
+        if lev == 0 and geometry.windows:
+            below_one = _count_below(C, 1.0)
+            wanted = min(count, below_one)
+        if wanted:
+            vals, vecs, diag = _smallest_eigenpairs(C, wanted)
+        else:
+            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0}
+        if geometry.windows and vals.size:
             keep = vals < 1.0
             vals = vals[keep]
             vecs = vecs[:, keep]
@@ -367,6 +456,7 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         unreliable = [True] * n_common
 
     diagnostics = {
+        "count_below_one": below_one,
         "levels": level_diags,
         "unreliable": unreliable,
         "perron": _perron_check(ground) if ground is not None else None,

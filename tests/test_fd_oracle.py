@@ -3,18 +3,26 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import oracles
+from winguide import fd_oracle
+from winguide.assembly import assemble_galerkin
 from winguide.cli import main
-from winguide.errors import InsufficientDataError, ValidationError
+from winguide.errors import InsufficientDataError, NumericalFailureError, ValidationError
 from winguide.fd_oracle import (
+    MAX_MESH_NODES,
     Extrapolation,
     GridSpec,
+    _assemble,
+    _count_below,
+    _Mesh,
+    _node_count,
     fd_eigenvalues,
     richardson_extrapolate,
 )
-from winguide.geometry import Geometry, WindowSpec
+from winguide.geometry import Geometry, SolverSettings, WindowSpec
 
 LAMBDA1_A1_D2 = 0.934889771227259
 
@@ -190,6 +198,13 @@ def test_richardson_input_validation():
         richardson_extrapolate([(0.4, 1.0), (-0.2, 0.9)])
 
 
+@pytest.fixture()
+def single_cfg(tmp_path):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"d": 2.0, "windows": [{"center": 0.0, "half_width": 1.0}]}))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def oracle_a15_dpi():
     geo = Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),))
@@ -202,9 +217,12 @@ def test_levels_match_banded_solver(oracle_a15_dpi):
     for (_, vals), want in zip(res.levels, LEVELS_A15_DPI):
         assert len(vals) == 1
         assert vals[0] == pytest.approx(want, abs=1e-10)
+    # one FD eigenvalue lies below 1, so ARPACK solves for that one alone;
+    # asking for two took 90 solves per level, the second chasing the continuum
+    assert res.diagnostics["count_below_one"] == 1
     for level in res.diagnostics["levels"]:
-        assert level["converged"] == 2
-        assert level["iterations"] > 0
+        assert level["converged"] == 1
+        assert 0 < level["iterations"] < 60
         assert level["residual_max"] < 1e-10
 
 
@@ -226,6 +244,124 @@ def test_arpack_no_convergence_maps_to_exit_three(tmp_path, monkeypatch, capsys)
     code = main(["oracle", str(cfg), "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "a, d, L, galerkin_count",
+    [(1.0, 2.0, 20.0, 1), (1.5, math.pi, 12.0, 1), (3.0, 2.0, 14.0, 2)],
+)
+def test_count_below_matches_galerkin_inertia(a, d, L, galerkin_count):
+    # two independent inertia counts of the modes below 0.999: the FD LDL^T
+    # and the Galerkin M(0.999), which decreases in lambda. (a = 2.7, d = 2 is
+    # left out: its 0.99849 mode has kappa ~ 0.039 and does not fit the FD box.)
+    geo = Geometry(d=d, windows=(WindowSpec(0.0, a),))
+    C = _assemble(_Mesh(geo, GridSpec(h=0.05, L=L), 1))
+    m = assemble_galerkin(0.999, geo, SolverSettings()).matrix
+    assert np.count_nonzero(np.linalg.eigvalsh(m) <= 0.0) == galerkin_count
+    assert _count_below(C, 0.999) == galerkin_count
+
+
+def test_count_below_matches_wide_eigsh():
+    from scipy.sparse.linalg import eigsh
+
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 3.0),))
+    C = _assemble(_Mesh(geo, GridSpec(h=0.1, L=13.0), 1))
+    vals = np.sort(eigsh(C, 5, sigma=0.0, which="LM", return_eigenvectors=False))
+    assert vals[-1] > 1.0
+    assert _count_below(C, 1.0) == np.count_nonzero(vals < 1.0) == 2
+    # between consecutive eigenvalues the count is the number below
+    for k, sigma in enumerate(0.5 * (vals[:-1] + vals[1:]), start=1):
+        assert _count_below(C, sigma) == k
+
+
+def test_no_interface_node_gives_empty_result_without_eigsh(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("eigsh must not run when no mode lies below 1")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_call)
+    # a 0.04-wide window is one h = 0.1 cell: the coarsest mesh has no
+    # interface node, so the strips decouple and nothing lies below 1
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 0.02),))
+    res = fd_eigenvalues(geo, GridSpec(h=0.1, L=11.0), count=2, levels=2)
+    assert res.diagnostics["count_below_one"] == 0
+    assert res.eigenvalues == res.extrapolated == res.error_estimates == ()
+    assert res.levels == ((0.1, ()), (0.05, ()))
+    assert res.fewer_than_requested
+    assert res.diagnostics["perron"] is None
+    assert [level["iterations"] for level in res.diagnostics["levels"]] == [0, 0]
+
+
+def test_pivoted_count_maps_to_exit_three(single_cfg, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    class Pivoted:
+        def __init__(self, n):
+            self.perm_c = np.arange(n)
+            self.perm_r = self.perm_c[::-1].copy()
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A, **kw: Pivoted(A.shape[0]))
+    code = main(["oracle", single_cfg, "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"])
+    assert code == 3
+    assert "off-diagonal pivots" in capsys.readouterr().err
+
+
+def test_singular_shift_raises():
+    from scipy import sparse
+
+    with pytest.raises(NumericalFailureError):
+        _count_below(sparse.diags([1.0, 2.0, 3.0]).tocsc(), 2.0)
+
+
+@pytest.mark.parametrize(
+    "geo, grid",
+    [
+        (Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),)), GridSpec(h=0.1, L=11.0)),
+        (Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.07, L=12.0)),
+        (Geometry(d=1.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 0.02))), GridSpec(h=0.1, L=15.3)),
+        (Geometry(d=1.0, windows=()), GridSpec(h=0.1, L=10.0)),
+    ],
+)
+def test_node_count_matches_mesh(geo, grid):
+    for refine in (1, 2, 4):
+        assert _node_count(geo, grid, refine) == _Mesh(geo, grid, refine).n_nodes
+
+
+def test_mesh_ceiling_admits_acceptance_meshes():
+    # criterion 1's finest mesh and level 3 of the benchmark oracle both fit
+    a1 = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    assert _node_count(a1, GridSpec(h=0.1, L=20.0), 4) <= MAX_MESH_NODES
+    a15 = Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),))
+    assert _node_count(a15, GridSpec(h=0.1, L=12.0), 4) <= MAX_MESH_NODES
+
+
+@pytest.mark.parametrize(
+    "options", [["--h", "0.1", "--levels", "12"], ["--h", "0.001", "--levels", "1"]]
+)
+def test_oversized_mesh_exit_two_before_any_mesh(single_cfg, monkeypatch, capsys, options):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("no mesh may be built for an oversized request")
+
+    monkeypatch.setattr(fd_oracle, "_Mesh", no_mesh)
+    monkeypatch.setattr(fd_oracle, "_assemble", no_mesh)
+    assert main(["oracle", single_cfg, "--L", "12", "--count", "1", *options]) == 2
+    assert f"more than {MAX_MESH_NODES}" in capsys.readouterr().err
+
+
+def test_bool_count_and_levels_rejected():
+    # a bool is an int to isinstance, but would pass as 1
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    with pytest.raises(ValidationError):
+        fd_eigenvalues(geo, GridSpec(h=0.1, L=12.0), count=True)
+    with pytest.raises(ValidationError):
+        fd_eigenvalues(geo, GridSpec(h=0.1, L=12.0), count=1, levels=True)
+
+
+def test_gridspec_rejects_overflowing_ratio():
+    # L / h overflows a float, which the mesh rounding could not take
+    with pytest.raises(ValidationError):
+        GridSpec(h=5e-324, L=12.0)
 
 
 def test_count_at_least_node_count_rejected():
