@@ -37,6 +37,7 @@ density is N = -dm/dlambda, so norm_matrix (-dM/dlambda) gives its norm.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +88,15 @@ def gl_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def graded_edges(xi_max: float, width: float) -> np.ndarray:
+def graded_edges(xi_max: float, width: float, max_panels: float = math.inf) -> np.ndarray:
     """Panel edges on [0, xi_max], geometrically refined near xi = 0 and xi = 1.
 
     For lambda close to the continuum threshold the symbol varies on the scale
     sqrt(1 - lambda) near xi = 0 (trigonometric spike) and has a branch point
     just below xi = 1; dyadic grading toward both keeps Gauss panels accurate
     for every admissible lambda.  Panels never straddle xi = 1.  Elsewhere the
-    maximum panel width is `width`.
+    maximum panel width is `width`.  The panels are counted before any edge
+    array is built, and more than `max_panels` raise ValidationError.
     """
     if xi_max <= 0.0 or width <= 0.0:
         raise ValidationError("graded_edges needs xi_max > 0 and width > 0")
@@ -113,12 +115,18 @@ def graded_edges(xi_max: float, width: float) -> np.ndarray:
                 pts.add(1.0 + delta)
             delta *= 0.5
     edges = sorted(p for p in pts if 0.0 <= p <= xi_max)
+    gaps = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    # as floats: a gap over a tiny width may overflow to inf, which still counts
+    counts = [np.ceil(gap / width) if gap > width * (1.0 + 1e-12) else 1.0 for gap in gaps]
+    if sum(counts) > max_panels:
+        raise ValidationError(
+            f"quadrature on [0, {xi_max:g}] at panel width {width:.3g} needs "
+            f"{sum(counts):.3g} panels, more than {max_panels}; lower xi_max, "
+            "raise panel_width or narrow the window"
+        )
     out = [edges[0]]
-    for e in edges[1:]:
-        gap = e - out[-1]
-        if gap > width * (1.0 + 1e-12):
-            n = int(np.ceil(gap / width))
-            out.extend(out[-1] + gap * np.arange(1, n) / n)
+    for e, gap, n in zip(edges[1:], gaps, counts):
+        out.extend(out[-1] + gap * np.arange(1, n) / n)
         out.append(e)
     return np.asarray(out, dtype=float)
 
@@ -208,18 +216,11 @@ def basis_overlap_gram(a: float, order: int) -> np.ndarray:
     C(k) = 2/(1-k^2) for even k and 0 for odd k (so odd n-m entries vanish).
     """
 
-    def c(k: int) -> float:
-        if k % 2:
-            return 0.0
-        return 2.0 / (1.0 - k * k)
+    def c(k: np.ndarray) -> np.ndarray:
+        return np.divide(2.0, 1.0 - k * k, out=np.zeros(k.shape), where=k % 2 == 0)
 
-    g = np.zeros((order, order))
-    for n in range(order):
-        for m in range(n, order):
-            val = 0.5 * a ** 3 * (c(n - m) - c(n + m + 2))
-            g[n, m] = val
-            g[m, n] = val
-    return g
+    n = np.arange(order)
+    return 0.5 * a ** 3 * (c(np.subtract.outer(n, n)) - c(np.add.outer(n, n) + 2))
 
 
 def sub_symbol(nodes: np.ndarray, lam: float, d: float) -> np.ndarray:
@@ -249,17 +250,6 @@ def sub_symbol(nodes: np.ndarray, lam: float, d: float) -> np.ndarray:
     return out
 
 
-def _ws_third_moment(a: float, n: int, m: int) -> float:
-    """Closed form int_0^inf J_{n+1}(a x) J_{m+1}(a x) x^{-3} dx for n+m > 0, n-m even."""
-    q = (n - m) // 2
-    if abs(q) >= 2:
-        return 0.0
-    p = (n + m) // 2
-    # Gamma(p) / (4 Gamma(2-q) Gamma(2+q) Gamma(p+3)), Gamma(2-q)Gamma(2+q) = 2 for |q|=1
-    denom = 4.0 * (2.0 if q else 1.0) * p * (p + 1) * (p + 2)
-    return a * a / denom
-
-
 def _t3_tail_00(a: float, x: float) -> float:
     """Asymptotic tail int_X^inf J_1(a xi)^2 xi^-3 d xi (two IBP orders kept)."""
     w = 2.0 * a
@@ -285,13 +275,18 @@ class _WindowTable:
     sign: np.ndarray          # (-1)^((n-m)/2) on even pairs, 0 on odd
 
 
+# 27 times the largest table any test or workload builds (37,368 nodes: a = 3,
+# xi_max = 800); the beta table holds `orders` doubles per node
+MAX_TABLE_NODES = 1_000_000
+
+
 # 16 > 5, the largest benchmark working set (verify-simple 4, modes-widths 5).
 @functools.lru_cache(maxsize=16)
 def _build_window_table(
     a: float, orders: int, xi_max: float, panel_points: int, panel_width: float
 ) -> _WindowTable:
     width = min(panel_width, np.pi / (2.0 * a), 1.0)
-    edges = graded_edges(xi_max, width)
+    edges = graded_edges(xi_max, width, MAX_TABLE_NODES // panel_points)
     nodes, weights = gl_panels(edges, panel_points)
     beta = beta_matrix(a, orders, nodes)
 
@@ -301,25 +296,27 @@ def _build_window_table(
     # J_{n+1}(a xi) J_{m+1}(a xi)/xi^3 = beta_n beta_m / (pi^2 a^2 (n+1)(m+1) xi)
     scale = np.pi ** 2 * a * a * np.outer(n + 1.0, n + 1.0)
     low = nodes < 1.0
-    t3 = np.empty((orders, orders))
     bw_low = beta[:, low] * (weights[low] / nodes[low])
     q01 = bw_low @ beta[:, low].T / scale
-    for i in range(orders):
-        for j in range(i, orders):
-            if (i - j) % 2:
-                t3[i, j] = t3[j, i] = 0.0
-            elif i == 0 and j == 0:
-                hi = ~low
-                val = float(
-                    np.sum(weights[hi] / nodes[hi] * beta[0, hi] ** 2) / scale[0, 0]
-                ) + _t3_tail_00(a, xi_max)
-                t3[0, 0] = val
-            else:
-                val = _ws_third_moment(a, i, j) - q01[i, j]
-                t3[i, j] = t3[j, i] = val
-
+    # int_0^inf J_{n+1}(a x) J_{m+1}(a x) x^-3 dx for n+m > 0, n-m even, in closed form:
+    # Gamma(p) / (4 Gamma(2-q) Gamma(2+q) Gamma(p+3)) with p = (n+m)/2, q = (n-m)/2,
+    # where Gamma(2-q) Gamma(2+q) is 1 at q = 0, 2 at |q| = 1 and 1/Gamma(<=0) = 0 beyond
     diff = np.subtract.outer(n, n)
-    sign = np.where(diff % 2 == 0, np.where(diff % 4 == 0, 1.0, -1.0), 0.0)
+    p = np.add.outer(n, n) // 2
+    q = np.abs(diff) // 2
+    even = diff % 2 == 0
+    denom = 4.0 * np.where(q == 0, 1.0, 2.0) * p * (p + 1) * (p + 2)
+    nonzero = even & (q < 2) & (p > 0)
+    closed = np.divide(a * a, denom, out=np.zeros((orders, orders)), where=nonzero)
+    t3 = np.where(even, closed - q01, 0.0)
+    hi = ~low
+    t3[0, 0] = float(
+        np.sum(weights[hi] / nodes[hi] * beta[0, hi] ** 2) / scale[0, 0]
+    ) + _t3_tail_00(a, xi_max)
+    lower = np.tril_indices(orders, -1)
+    t3[lower] = t3.T[lower]  # q01 is symmetric only to rounding: mirror the upper triangle
+
+    sign = np.where(even, np.where(diff % 4 == 0, 1.0, -1.0), 0.0)
     return _WindowTable(a, orders, nodes, weights, beta, dterm, t3, sign)
 
 

@@ -3,8 +3,14 @@
 Independent cross-check for the Galerkin solver: the two coupled strips are
 truncated at x1 = +-L with Dirichlet walls and discretized by a symmetric
 finite-volume scheme on a tensor grid, giving a sparse positive definite
-matrix. The number of its eigenvalues below the threshold 1 is counted once,
-on the coarsest mesh, by Sylvester's law of inertia (the negative pivots of an
+matrix. One boolean mask on that grid says which nodes are unknowns: all but
+the walls and, on the interface row, all but the nodes outside the windows.
+Each face between neighbouring grid nodes weighs (dual width across it) /
+(step along it), which gives a stiffness entry between two unknowns and a
+Dirichlet closure next to an absent node.
+
+The number of eigenvalues below the threshold 1 is counted once, on the
+coarsest mesh, by Sylvester's law of inertia (the negative pivots of an
 unpivoted sparse LDL^T of C - I); no level can keep more. That many smallest
 eigenvalues then come from ARPACK in shift-invert mode about zero on a sparse
 LU factorization, started from a seeded vector so that repeated runs agree
@@ -153,140 +159,76 @@ def _node_count(geometry: Geometry, grid: GridSpec, refine: int) -> int:
 class _Mesh:
     """Tensor-product finite-volume mesh for the truncated two-strip domain.
 
-    Nodes are ordered column-major: columns left to right, rows bottom to top
-    inside each column. Interface nodes on x2 = 0 exist only strictly inside
-    windows; window edges are Dirichlet points of the slit. With no windows
-    the mesh covers the single strip (0, pi) (validation mode).
+    `x` holds the vertical grid lines from wall to wall and `hx = diff(x)` their
+    steps; `hy` holds the exact vertical steps upward from y = -d: m_dn of
+    d / m_dn, then m_up of pi / m_up (with no windows only the latter, and the
+    mesh covers the single strip (0, pi): validation mode). Node (i, j) is an
+    unknown where `present[i, j]`: False on the four walls and, in the
+    interface row y = 0 (j = m_dn), outside the open windows, so window edges
+    are Dirichlet points of the slit.
     """
 
     def __init__(self, geometry: Geometry, grid: GridSpec, refine: int):
-        self.geometry = geometry
-        self.grid = grid
-        self.refine = refine
         self.h_nominal = grid.h / refine
         segments, m_up, m_dn = _subdivisions(geometry, grid)
-
-        xs = [np.array([-grid.L])]
-        for lo, hi, n_seg in segments:
-            xs.append(np.linspace(lo, hi, n_seg * refine + 1)[1:])
-        x_all = np.concatenate(xs)
-        self.x = x_all[1:-1]
-        self.hx = np.diff(x_all)
-        self.wx = 0.5 * (self.hx[:-1] + self.hx[1:])
-
-        m_up *= refine
-        hy_up = math.pi / m_up
-        if geometry.windows:
-            m_dn *= refine
-            hy_dn = geometry.d / m_dn
-            y_dn = -geometry.d + hy_dn * np.arange(1, m_dn)
-            y_up = hy_up * np.arange(1, m_up)
-            self.y = np.concatenate([y_dn, [0.0], y_up])
-            self.iface_id = m_dn - 1
-            below = np.where(np.arange(self.y.size) <= self.iface_id, hy_dn, hy_up)
-            above = np.where(np.arange(self.y.size) < self.iface_id, hy_dn, hy_up)
-        else:
-            self.y = hy_up * np.arange(1, m_up)
-            self.iface_id = -1
-            below = np.full(self.y.size, hy_up)
-            above = np.full(self.y.size, hy_up)
-        self.step_below = below
-        self.step_above = above
-        self.wy = 0.5 * (below + above)
-
-        nrows = self.y.size
-        if self.iface_id >= 0:
-            in_window = np.zeros(self.x.size, dtype=bool)
-            for w in geometry.windows:
-                in_window |= (self.x > w.left) & (self.x < w.right)
-            self.col_in_window = in_window
-            heights = np.where(in_window, nrows, nrows - 1)
-        else:
-            self.col_in_window = np.ones(self.x.size, dtype=bool)
-            heights = np.full(self.x.size, nrows)
-        self.offsets = np.concatenate([[0], np.cumsum(heights)])
-        self.n_nodes = int(self.offsets[-1])
-
-    def column_gidx(self, i: int) -> np.ndarray:
-        """Global node index per template row for column i (-1 where absent)."""
-        nrows = self.y.size
-        g = self.offsets[i] + np.arange(nrows)
-        if self.iface_id >= 0 and not self.col_in_window[i]:
-            g = g - (np.arange(nrows) > self.iface_id)
-            g[self.iface_id] = -1
-        return g
+        m_up, m_dn = m_up * refine, m_dn * refine
+        self.x = np.concatenate(
+            [[-grid.L]] + [np.linspace(lo, hi, n * refine + 1)[1:] for lo, hi, n in segments]
+        )
+        self.hx = np.diff(self.x)
+        # exact steps, not diff of coordinates (that moves weights by an ulp); with no
+        # windows the d step is repeated m_dn = 0 times
+        self.hy = np.repeat([geometry.d / max(m_dn, 1), math.pi / m_up], [m_dn, m_up])
+        self.present = np.zeros((self.x.size, self.hy.size + 1), dtype=bool)
+        self.present[1:-1, 1:-1] = True
+        in_window = np.zeros(self.x.size, dtype=bool)
+        for w in geometry.windows:
+            in_window |= (self.x > w.left) & (self.x < w.right)
+        self.present[:, m_dn] &= in_window  # with no windows row 0 is a wall anyway
+        self.n_nodes = int(np.count_nonzero(self.present))
 
 
 def _assemble(mesh: _Mesh):
     """Symmetric finite-volume matrix as a sparse CSC matrix.
 
-    Builds the stiffness form A (one entry per undirected grid edge, plus
-    Dirichlet closures on the outer boundary, the slit, and the window tips)
-    and the diagonal dual-cell area matrix B, then returns
-    C = B^{-1/2} A B^{-1/2} whose eigenvalues approximate the Dirichlet
-    Laplacian's. Horizontal row weights depend on the row alone and vertical
-    weights on the column alone, so A is symmetric by construction; the
-    interface row uses the dual-cell weight (h_down + h_up) / 2.
+    Present nodes are numbered in C order of `mesh.present`: column by column
+    from x = -L, bottom to top within a column. The face between neighbours
+    along either axis has the weight (dual width across it) / (step along it),
+    a grid line's dual width being the mean of its two adjacent steps (the
+    interface row's is (h_down + h_up) / 2). A face with both ends present is
+    a stiffness entry; each present end adds the weight to its own diagonal,
+    which is the Dirichlet closure (walls, slit, window tips) where the other
+    end is absent. With the dual-cell areas B this returns
+    C = B^{-1/2} A B^{-1/2}, whose eigenvalues approximate the Dirichlet
+    Laplacian's.
     """
     from scipy import sparse  # imported here, as in _smallest_eigenpairs, for start-up time
 
-    n = mesh.n_nodes
-    diag = np.zeros(n)
-    bcell = np.zeros(n)
-    p_parts, q_parts, c_parts = [], [], []
-    wy = mesh.wy
-    sb = mesh.step_below
-    sa = mesh.step_above
+    present, n = mesh.present, mesh.n_nodes
+    index = np.full(present.shape, -1)
+    index[present] = np.arange(n)
+    wx = 0.5 * (np.r_[0.0, mesh.hx] + np.r_[mesh.hx, 0.0])
+    wy = 0.5 * (np.r_[0.0, mesh.hy] + np.r_[mesh.hy, 0.0])
+    diag = np.zeros(present.shape)
+    faces = []
+    # x faces, then y faces: a node is the lower end of at most one face per axis,
+    # so slice sums need no np.add.at; sums on absent nodes are never read
+    for weight, lo, hi in (
+        (wy[None, :] / mesh.hx[:, None], np.s_[:-1, :], np.s_[1:, :]),
+        (wx[:, None] / mesh.hy[None, :], np.s_[:, :-1], np.s_[:, 1:]),
+    ):
+        diag[lo] += weight
+        diag[hi] += weight
+        both = present[lo] & present[hi]
+        faces.append((index[lo][both], index[hi][both], weight[both]))
+    p, q, c = map(np.concatenate, zip(*faces))
 
-    gidx_prev = None
-    for i in range(mesh.x.size):
-        gidx = mesh.column_gidx(i)
-        pres = gidx >= 0
-        g = gidx[pres]
-        wx = mesh.wx[i]
-        bcell[g] = wx * wy[pres]
-
-        # vertical edges and Dirichlet closures within the column
-        both = pres[:-1] & pres[1:]
-        p_parts.append(gidx[:-1][both])
-        q_parts.append(gidx[1:][both])
-        c_parts.append(wx / sa[:-1][both])
-        below_wall = pres.copy()
-        below_wall[1:] &= ~pres[:-1]
-        diag[gidx[below_wall]] += wx / sb[below_wall]
-        above_wall = pres.copy()
-        above_wall[:-1] &= ~pres[1:]
-        diag[gidx[above_wall]] += wx / sa[above_wall]
-
-        # horizontal edges to the previous column (or the wall at -L)
-        hx = mesh.hx[i]
-        if i == 0:
-            diag[g] += wy[pres] / hx
-        else:
-            both = pres & (gidx_prev >= 0)
-            p_parts.append(gidx_prev[both])
-            q_parts.append(gidx[both])
-            c_parts.append(wy[both] / hx)
-            only_prev = (gidx_prev >= 0) & ~pres
-            diag[gidx_prev[only_prev]] += wy[only_prev] / hx
-            only_here = pres & (gidx_prev < 0)
-            diag[gidx[only_here]] += wy[only_here] / hx
-        gidx_prev = gidx
-    # wall at +L
-    diag[gidx_prev[gidx_prev >= 0]] += wy[gidx_prev >= 0] / mesh.hx[-1]
-
-    p = np.concatenate(p_parts)
-    q = np.concatenate(q_parts)
-    c = np.concatenate(c_parts)
-    np.add.at(diag, p, c)
-    np.add.at(diag, q, c)
-
-    diag_c = diag / bcell
+    bcell = np.outer(wx, wy)[present]
     c_scaled = c / np.sqrt(bcell[p] * bcell[q])
     nodes = np.arange(n)
     rows = np.concatenate([nodes, p, q])
     cols = np.concatenate([nodes, q, p])
-    entries = np.concatenate([diag_c, -c_scaled, -c_scaled])
+    entries = np.concatenate([diag[present] / bcell, -c_scaled, -c_scaled])
     return sparse.csc_matrix((entries, (rows, cols)), shape=(n, n))
 
 

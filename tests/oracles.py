@@ -76,6 +76,54 @@ def basis_ft(n: int, a: float, xi: float) -> complex:
     return complex((1j ** n) * math.pi * a * a * (n + 1) * ratio)
 
 
+def window_t3_loop(a: float, xi_max: float, nodes, weights, beta, tail_00) -> np.ndarray:
+    """The window table's third-moment matrix, entry by entry (upper triangle mirrored).
+
+    Loop reference for `assembly._build_window_table`'s array form: the same
+    arithmetic in the same order, so the two agree bitwise. Even pairs with
+    n + m > 0 take the closed form int_0^inf J_{n+1}(ax) J_{m+1}(ax) x^-3 dx =
+    Gamma(p) / (4 Gamma(2-q) Gamma(2+q) Gamma(p+3)) (p = (n+m)/2, q = (n-m)/2)
+    minus the [0, 1) quadrature; (0, 0) is the quadrature on [1, xi_max] plus
+    `tail_00(a, xi_max)`.
+    """
+    orders = beta.shape[0]
+    n = np.arange(orders)
+    scale = np.pi ** 2 * a * a * np.outer(n + 1.0, n + 1.0)
+    low = nodes < 1.0
+    q01 = beta[:, low] * (weights[low] / nodes[low]) @ beta[:, low].T / scale
+    t3 = np.empty((orders, orders))
+    for i in range(orders):
+        for j in range(i, orders):
+            if (i - j) % 2:
+                t3[i, j] = t3[j, i] = 0.0
+            elif i == 0 and j == 0:
+                hi = ~low
+                t3[0, 0] = float(
+                    np.sum(weights[hi] / nodes[hi] * beta[0, hi] ** 2) / scale[0, 0]
+                ) + tail_00(a, xi_max)
+            else:
+                q = (i - j) // 2
+                p = (i + j) // 2
+                closed = 0.0
+                if abs(q) < 2:
+                    closed = a * a / (4.0 * (2.0 if q else 1.0) * p * (p + 1) * (p + 2))
+                t3[i, j] = t3[j, i] = closed - q01[i, j]
+    return t3
+
+
+def overlap_gram_loop(a: float, order: int) -> np.ndarray:
+    """G_nm = a^3/2 [C(n-m) - C(n+m+2)], C(k) = 2/(1-k^2) for even k, 0 for odd k, by loop."""
+
+    def c(k: int) -> float:
+        return 0.0 if k % 2 else 2.0 / (1.0 - k * k)
+
+    g = np.zeros((order, order))
+    for n in range(order):
+        for m in range(n, order):
+            g[n, m] = g[m, n] = 0.5 * a ** 3 * (c(n - m) - c(n + m + 2))
+    return g
+
+
 def beta_matrix_jv(a: float, orders: int, nodes) -> np.ndarray:
     """pi a^2 (n+1) J_{n+1}(a xi)/(a xi), one scipy `jv` call per order n."""
     x = a * np.asarray(nodes, dtype=float)

@@ -160,6 +160,20 @@ def test_basis_overlap_gram_matches_quadrature():
             assert gram[n, m] == pytest.approx(float((w * bn * bm).sum()), abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.5, 0.8, 1.0, 1.2, 2.7, 3.0])
+@pytest.mark.parametrize("orders", [4, 12, 32, 48])
+def test_table_arrays_bitwise_equal_to_loops(a, orders):
+    # the array forms of t3 and the overlap Gram matrix do the loops' arithmetic
+    for xi_max in (200.0, 800.0):
+        table = assembly._build_window_table.__wrapped__(a, orders, xi_max, 24, 1.0)  # uncached
+        want = oracles.window_t3_loop(
+            a, xi_max, table.nodes, table.weights, table.beta, assembly._t3_tail_00
+        )
+        assert table.t3.tobytes() == want.tobytes()
+    want = oracles.overlap_gram_loop(a, orders)
+    assert basis_overlap_gram(a, orders).tobytes() == want.tobytes()
+
+
 _NORM_SETTINGS = SolverSettings(basis_order=12, panel_points=12)
 _norm_cases = st.fixed_dictionaries({
     "a": st.floats(0.5, 3.0),

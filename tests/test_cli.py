@@ -158,6 +158,36 @@ def test_basis_order_beyond_ceiling_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "window, quadrature",
+    [
+        ({"center": 0.0, "half_width": 1e6}, {}),
+        ({"center": 0.0, "half_width": 1.0}, {"xi_max": 1e9}),
+        ({"center": 0.0, "half_width": 1.0}, {"panel_width": 1e-9}),
+    ],
+)
+def test_oversized_window_table_exit_two_before_any_table(
+    tmp_path, capsys, monkeypatch, window, quadrature
+):
+    # the tables would need 3e9, 2e10 and 5e12 nodes (780 GB of beta and up);
+    # the panels are counted before any array is built
+    from winguide import assembly
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("no window table may be built for an oversized request")
+
+    monkeypatch.setattr(assembly, "beta_matrix", no_table)
+    path = tmp_path / "huge_table.json"
+    path.write_text(json.dumps(
+        {"d": 2.0, "windows": [window], "settings": {"quadrature": quadrature}}
+    ))
+    assert main(["modes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"more than {assembly.MAX_TABLE_NODES // 24}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_empty_sigma_star_exit_two(tmp_path, capsys):
     # the single window's only mode (0.935) lies above the band (0.01, 0.7)
     document = {"a_minus": 1.0, "a_plus": 1.0, "d": 2.0, "l_values": [4.0, 5.0],

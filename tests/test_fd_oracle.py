@@ -328,6 +328,36 @@ def test_node_count_matches_mesh(geo, grid):
         assert _node_count(geo, grid, refine) == _Mesh(geo, grid, refine).n_nodes
 
 
+@pytest.mark.parametrize(
+    "geo, grid",
+    [
+        (Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.1, L=12.0)),
+        (Geometry(d=1.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 0.02))), GridSpec(h=0.1, L=15.3)),
+        (Geometry(d=2.0, windows=(WindowSpec(0.31, 0.77),)), GridSpec(h=0.07, L=12.0)),
+    ],
+)
+def test_stencil_exact_on_quadratics(geo, grid):
+    # the finite-volume scheme is exact for quadratics at any steps: with the
+    # stiffness A = B^{1/2} C B^{1/2}, (A u)_i = -4 area_i for u = x^2 + y^2 at
+    # every node whose four neighbours are unknowns. This covers the unequal x
+    # steps at window edges and the interface row's (h_down + h_up) / 2.
+    mesh = _Mesh(geo, grid, 1)
+    C = _assemble(mesh)
+    x = mesh.x
+    y = np.concatenate([[0.0], np.cumsum(mesh.hy)]) - geo.d
+    area = np.outer(x[2:] - x[:-2], y[2:] - y[:-2])[mesh.present[1:-1, 1:-1]] / 4.0
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    u = (xx**2 + yy**2)[mesh.present]
+    root = np.sqrt(area)
+    au = root * (C @ (root * u))
+    pres = mesh.present
+    inner = pres[1:-1, 1:-1] & pres[:-2, 1:-1] & pres[2:, 1:-1] & pres[1:-1, :-2] & pres[1:-1, 2:]
+    inner = inner[pres[1:-1, 1:-1]]
+    assert np.count_nonzero(inner) > 0.8 * mesh.n_nodes
+    assert np.any(inner & (np.abs(yy[mesh.present]) < 1e-12))  # on the interface row
+    assert np.max(np.abs(au[inner] / (-4.0 * area[inner]) - 1.0)) <= 1e-10
+
+
 def test_mesh_ceiling_admits_acceptance_meshes():
     # criterion 1's finest mesh and level 3 of the benchmark oracle both fit
     a1 = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
