@@ -17,8 +17,12 @@ each diagonal block:
     giving the diagonal pi a^2 (n+1);
   * the lambda/xi counterterm on [1, inf): a Gamma-function closed form for
     int_0^inf J_{n+1} J_{m+1} x^{-3} dx (n+m > 0) minus a numeric [0, 1] piece;
-  * a smooth remainder S(xi) - 2 xi + (lambda/xi) 1_{xi>=1} = O(xi^-3),
-    integrated on Gauss-Legendre panels up to xi_max with an explicit tail bound.
+  * a smooth remainder S(xi) - 2 xi + (lambda/xi) 1_{xi>=1} = O(xi^-3) on
+    Gauss-Legendre panels up to xi_max, with an explicit tail bound.  Below
+    xi_0 = max(24, 40/d) it is evaluated per lambda; above, both strip
+    exponentials are below about e^-80 and what is left is the power series
+    sum_k 2 c_k lambda^k xi^(1-2k), so those nodes enter through lambda-free
+    moment matrices tabulated once per window (_far_field).
 
 Off-diagonal (window-coupling) blocks use the exact exponential expansion of
 the interface kernel over transverse strip modes,
@@ -326,10 +330,64 @@ def _window_table(a: float, orders: int, settings: SolverSettings) -> _WindowTab
     )
 
 
-def _diagonal_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
-    w = sub_symbol(table.nodes, lam, d)
-    bw = table.beta * (table.weights * w / np.pi)
-    quad = bw @ table.beta.T
+# 2 c_k for k = 2..7, c_k = C(1/2, k)(-1)^k the Taylor coefficients of sqrt(1 - s)
+# (exact binary fractions); with s = lambda/xi^2 <= 1/576 the first omitted term
+# is about 3e-18 of the sum
+_FAR_POWERS = np.arange(2, 8)
+_FAR_COEF = np.array([-1 / 4, -1 / 8, -5 / 64, -7 / 128, -21 / 512, -33 / 1024])
+
+
+def _far_cut(d: float) -> float:
+    """xi_0 = max(24, 40/d): from here on e^{-2 pi z}, e^{-2 d z} < e^-79.9 in sub_symbol.
+
+    What is left there is 2 z - 2 xi + lambda/xi = 2 xi (sqrt(1-s) - 1 + s/2),
+    s = lambda/xi^2, summed by _FAR_COEF.
+    """
+    return max(24.0, 40.0 / d)
+
+
+@dataclass(frozen=True)
+class _FarField:
+    """Window-table nodes split at xi_0: the near prefix and the far moments."""
+
+    near: int                 # nodes[:near] < xi_0 (nodes ascend)
+    moments: np.ndarray       # (6, orders, orders): sum_far w beta beta^T xi^(1-2k)/pi
+
+
+# one entry per (window table, xi_0); d = 2 and d = pi share xi_0 = 24
+@functools.lru_cache(maxsize=16)
+def _build_far_field(
+    a: float, orders: int, xi_max: float, panel_points: int, panel_width: float, xi0: float
+) -> _FarField:
+    table = _build_window_table(a, orders, xi_max, panel_points, panel_width)
+    near = int(np.searchsorted(table.nodes, xi0))
+    beta = table.beta[:, near:]
+    nodes = table.nodes[near:]
+    weights = table.weights[near:] / np.pi
+    moments = np.empty((_FAR_POWERS.size, orders, orders))
+    scaled = np.empty_like(beta)  # the one transient (orders, far nodes) array
+    for out, k in zip(moments, _FAR_POWERS):
+        np.multiply(beta, weights * nodes ** (1.0 - 2.0 * k), out=scaled)
+        np.matmul(scaled, beta.T, out=out)
+    return _FarField(near, moments)
+
+
+def _far_field(a: float, orders: int, settings: SolverSettings, d: float) -> _FarField:
+    return _build_far_field(
+        a, orders, settings.xi_max, settings.panel_points, settings.panel_width, _far_cut(d)
+    )
+
+
+def _near_quadrature(table: _WindowTable, near: int, weight: np.ndarray) -> np.ndarray:
+    """sum over the first `near` nodes of w beta beta^T weight/pi."""
+    beta = table.beta[:, :near]
+    return (beta * (table.weights[:near] * weight / np.pi)) @ beta.T
+
+
+def _diagonal_block(lam: float, table: _WindowTable, far: _FarField, d: float) -> np.ndarray:
+    quad = _near_quadrature(table, far.near, sub_symbol(table.nodes[: far.near], lam, d))
+    if far.near < table.nodes.size:
+        quad += np.tensordot(_FAR_COEF * lam ** _FAR_POWERS, far.moments, axes=1)
     n = np.arange(table.orders)
     block = quad - lam * np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
     block[np.diag_indices_from(block)] += table.dterm
@@ -385,12 +443,20 @@ def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orde
     return -(g_left * decay) @ g_right.T * parity[None, :]
 
 
-def _diagonal_norm_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
-    """-d/dlambda of _diagonal_block: weight N_pi + N_d - 1_{xi>=1}/xi, plus the t3 term."""
-    w = norm_weight(table.nodes, lam, np.pi) + norm_weight(table.nodes, lam, d)
-    w -= np.where(table.nodes >= 1.0, 1.0 / table.nodes, 0.0)
+def _diagonal_norm_block(lam: float, table: _WindowTable, far: _FarField, d: float) -> np.ndarray:
+    """-d/dlambda of _diagonal_block: weight N_pi + N_d - 1_{xi>=1}/xi, plus the t3 term.
+
+    On the far nodes the weight is minus the lambda-derivative of the series,
+    -sum_k 2 k c_k lambda^(k-1) xi^(1-2k).
+    """
+    nodes = table.nodes[: far.near]
+    w = norm_weight(nodes, lam, np.pi) + norm_weight(nodes, lam, d)
+    w -= np.where(nodes >= 1.0, 1.0 / nodes, 0.0)
+    block = _near_quadrature(table, far.near, w)
+    if far.near < table.nodes.size:
+        slope = _FAR_POWERS * _FAR_COEF * lam ** (_FAR_POWERS - 1)
+        block -= np.tensordot(slope, far.moments, axes=1)
     n = np.arange(table.orders)
-    block = (table.beta * (table.weights * w / np.pi)) @ table.beta.T
     block += np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
     block *= table.sign
     return 0.5 * (block + block.T)
@@ -462,8 +528,9 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
     worst_tail = 0.0
     for i, win in enumerate(geometry.windows):
         table = _window_table(win.half_width, orders, settings)
+        far = _far_field(win.half_width, orders, settings, geometry.d)
         sl = slice(offsets[i], offsets[i + 1])
-        matrix[sl, sl] = _diagonal_block(lam, table, geometry.d)
+        matrix[sl, sl] = _diagonal_block(lam, table, far, geometry.d)
         worst_tail = max(
             worst_tail,
             tail_estimate(lam, win.half_width, settings.xi_max, geometry.d, orders - 1, orders - 1),
@@ -495,7 +562,8 @@ def norm_matrix(lam: float, geometry: Geometry, settings: SolverSettings) -> np.
     for i, win in enumerate(windows):
         rows = slice(i * orders, (i + 1) * orders)
         table = _window_table(win.half_width, orders, settings)
-        gram[rows, rows] = _diagonal_norm_block(lam, table, geometry.d)
+        far = _far_field(win.half_width, orders, settings, geometry.d)
+        gram[rows, rows] = _diagonal_norm_block(lam, table, far, geometry.d)
         for j in range(i + 1, len(windows)):
             cols = slice(j * orders, (j + 1) * orders)
             gram[rows, cols] = _cross_norm_block(lam, win, windows[j], geometry.d, orders)

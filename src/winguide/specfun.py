@@ -10,8 +10,10 @@ width w at spectral parameter lambda:
     m_w(xi) = z * coth(w z),   z = sqrt(xi^2 - lambda),
 
 continued through z = 0 (value 1/w) into s*cot(w s), s = sqrt(lambda - xi^2),
-for xi^2 < lambda.  All derived weights (the L2 and gradient norm densities of
-the strip extension of a trace) are built from the same two regularized pieces
+for xi^2 < lambda.  The symbol itself (m_w = 1/w + 2u creg(u; w), as
+assembly.sub_symbol evaluates it below xi = 1) and all derived weights (the L2
+and gradient norm densities of the strip extension of a trace) are built from
+the same two regularized pieces
 
     creg(u; w) = coth(w sqrt(u))/(2 sqrt(u)) - 1/(2 w u)
     sreg(u; w) = 1/(2 sinh^2(w sqrt(u)))    - 1/(2 w^2 u)
@@ -29,7 +31,6 @@ from .errors import ThresholdError, ValidationError
 
 __all__ = [
     "mode_kappa",
-    "dtn_symbol",
     "norm_weight",
     "grad_weight",
     "strip_kernel",
@@ -156,21 +157,6 @@ def _check_lambda(lam: float) -> float:
     if lamf >= 1.0:
         raise ThresholdError(f"spectral parameter must satisfy lambda < 1, got {lam!r}")
     return lamf
-
-
-def dtn_symbol(xi, lam: float, width: float):
-    """Symbol m(xi) = z coth(width z), z = sqrt(xi^2 - lambda), of the strip DtN map.
-
-    Continued through z = 0 (value 1/width) and into s cot(width s) for
-    xi^2 < lambda; for lambda < 1 the continuation has no real poles.
-    """
-    w = _check_width(width)
-    lamf = _check_lambda(lam)
-    arr = _as_farray(xi)
-    u = arr * arr - lamf
-    # m = 2u * C(u) with C = 1/(2wu) + creg: the pole contributes exactly 1/w.
-    m = 1.0 / w + 2.0 * u * _creg(u, w)
-    return _scalar_like(xi, m)
 
 
 def norm_weight(xi, lam: float, width: float):

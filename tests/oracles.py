@@ -15,7 +15,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_chebyu, jv
 
+from winguide.assembly import sub_symbol
 from winguide.errors import NumericalFailureError, ValidationError
+from winguide.specfun import (
+    _as_farray,
+    _check_lambda,
+    _check_width,
+    _creg,
+    _scalar_like,
+    norm_weight,
+)
 
 
 def bessel_j_series(order: int, x: float, terms: int = 40) -> float:
@@ -74,6 +83,62 @@ def basis_ft(n: int, a: float, xi: float) -> complex:
     x = a * xi
     ratio = (0.5 if n == 0 else 0.0) if abs(x) < 1e-12 else jv(n + 1, x) / x
     return complex((1j ** n) * math.pi * a * a * (n + 1) * ratio)
+
+
+def dtn_symbol(xi, lam: float, width: float):
+    """Symbol m(xi) = z coth(width z), z = sqrt(xi^2 - lambda), of the strip DtN map.
+
+    Continued through z = 0 (value 1/width) and into s cot(width s) for
+    xi^2 < lambda; for lambda < 1 the continuation has no real poles. Built
+    on the package's `_creg`, as `assembly.sub_symbol` is below xi = 1.
+    """
+    w = _check_width(width)
+    lamf = _check_lambda(lam)
+    arr = _as_farray(xi)
+    u = arr * arr - lamf
+    # m = 2u * C(u) with C = 1/(2wu) + creg: the pole contributes exactly 1/w.
+    m = 1.0 / w + 2.0 * u * _creg(u, w)
+    return _scalar_like(xi, m)
+
+
+def dtn_symbol_textbook(xi: float, lam: float, width: float) -> float:
+    """z coth(width z) for xi^2 > lambda, 1/width at z = 0, s cot(width s) below."""
+    u = xi * xi - lam
+    if u > 0.0:
+        z = math.sqrt(u)
+        return z / math.tanh(width * z)
+    if u < 0.0:
+        s = math.sqrt(-u)
+        return s / math.tan(width * s)
+    return 1.0 / width
+
+
+def diagonal_block_full(lam: float, table, d: float) -> np.ndarray:
+    """A window's diagonal block of M(lambda), quadrature over the whole table.
+
+    Every node runs through `sub_symbol`, out to xi_max; the production block
+    replaces the nodes above xi_0 by tabulated far-field moments.
+    """
+    w = sub_symbol(table.nodes, lam, d)
+    bw = table.beta * (table.weights * w / np.pi)
+    quad = bw @ table.beta.T
+    n = np.arange(table.orders)
+    block = quad - lam * np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
+    block[np.diag_indices_from(block)] += table.dterm
+    block *= table.sign
+    upper = np.triu(block)
+    return upper + np.triu(block, 1).T
+
+
+def diagonal_norm_block_full(lam: float, table, d: float) -> np.ndarray:
+    """-dM/dlambda's diagonal block, weight N_pi + N_d - 1_{xi>=1}/xi on every node."""
+    w = norm_weight(table.nodes, lam, np.pi) + norm_weight(table.nodes, lam, d)
+    w -= np.where(table.nodes >= 1.0, 1.0 / table.nodes, 0.0)
+    n = np.arange(table.orders)
+    block = (table.beta * (table.weights * w / np.pi)) @ table.beta.T
+    block += np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
+    block *= table.sign
+    return 0.5 * (block + block.T)
 
 
 def window_t3_loop(a: float, xi_max: float, nodes, weights, beta, tail_00) -> np.ndarray:

@@ -13,10 +13,12 @@ from winguide.assembly import (
     assemble_galerkin,
     basis_overlap_gram,
     norm_matrix,
+    sub_symbol,
     tail_estimate,
 )
 from winguide.errors import ThresholdError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
+from winguide.specfun import norm_weight
 
 
 def _single(a=1.0, d=2.0, **kw):
@@ -218,13 +220,119 @@ def test_norm_matrix_symmetric_positive_definite(case):
 def test_window_table_cache_bounded_and_rebuild_bitwise():
     small = SolverSettings(basis_order=4, xi_max=50.0)
     first = assembly._window_table(0.5, 4, small)
+    first_far = assembly._far_field(0.5, 4, small, 0.5)  # xi_0 = 80 > xi_max: no far nodes
     for k in range(1, 17):
         assembly._window_table(0.5 + 0.1 * k, 4, small)
+        assembly._far_field(0.5 + 0.1 * k, 4, small, 0.5)
+    for build in (assembly._build_window_table, assembly._build_far_field):
+        info = build.cache_info()
+        assert info.maxsize == 16
+        assert info.currsize <= 16
     info = assembly._build_window_table.cache_info()
-    assert info.maxsize == 16
-    assert info.currsize <= 16
+    far_info = assembly._build_far_field.cache_info()
     rebuilt = assembly._window_table(0.5, 4, small)
     assert assembly._build_window_table.cache_info().misses == info.misses + 1
     assert rebuilt is not first
     for field in ("nodes", "weights", "beta", "dterm", "t3", "sign"):
         assert np.array_equal(getattr(rebuilt, field), getattr(first, field))
+    rebuilt_far = assembly._far_field(0.5, 4, small, 0.5)
+    assert assembly._build_far_field.cache_info().misses == far_info.misses + 1
+    assert rebuilt_far is not first_far
+    assert rebuilt_far.near == first_far.near == first.nodes.size
+    assert rebuilt_far.moments.tobytes() == first_far.moments.tobytes()
+
+    # a far field with nodes, rebuilt from a cold table cache
+    far = assembly._far_field(1.0, 4, small, 2.0)
+    assert 0 < far.near < assembly._window_table(1.0, 4, small).nodes.size
+    assembly._build_window_table.cache_clear()
+    assembly._build_far_field.cache_clear()
+    again = assembly._far_field(1.0, 4, small, 2.0)
+    assert again.near == far.near
+    assert again.moments.tobytes() == far.moments.tobytes()
+
+
+def test_assembly_independent_of_far_field_cache_order():
+    # d = 2 (xi_0 = 24) and d = 0.5 (xi_0 = 80) keep separate far fields of one table
+    settings = SolverSettings(basis_order=12)
+    windows = (WindowSpec(-3.0, 1.0), WindowSpec(3.0, 0.7))
+    runs = []
+    for order in ((2.0, 0.5), (0.5, 2.0)):
+        assembly._build_window_table.cache_clear()
+        assembly._build_far_field.cache_clear()
+        out = {}
+        for d in order:
+            geometry = Geometry(d=d, windows=windows)
+            out[d] = (
+                assemble_galerkin(0.6, geometry, settings).matrix.tobytes(),
+                norm_matrix(0.6, geometry, settings).tobytes(),
+            )
+        runs.append(out)
+    assert runs[0] == runs[1]
+
+
+_BLOCK_LAMBDAS = np.linspace(SolverSettings().lambda_floor, SolverSettings().lambda_max, 12)[1:-1]
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0, math.pi])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.2, 3.0])
+def test_diagonal_blocks_match_full_quadrature(a, d):
+    settings = SolverSettings()
+    table = assembly._window_table(a, settings.basis_order, settings)
+    far = assembly._far_field(a, settings.basis_order, settings, d)
+    assert table.nodes[far.near - 1] < assembly._far_cut(d) <= table.nodes[far.near]
+    for lam in _BLOCK_LAMBDAS:
+        for block, full in (
+            (assembly._diagonal_block, oracles.diagonal_block_full),
+            (assembly._diagonal_norm_block, oracles.diagonal_norm_block_full),
+        ):
+            want = full(lam, table, d)
+            got = block(lam, table, far, d)
+            assert np.array_equal(got, got.T)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_diagonal_blocks_bitwise_without_far_nodes():
+    # d = 0.1: xi_0 = 400 >= xi_max = 200, so every node is near
+    settings = SolverSettings()
+    for a in (0.5, 1.0, 3.0):
+        table = assembly._window_table(a, settings.basis_order, settings)
+        far = assembly._far_field(a, settings.basis_order, settings, 0.1)
+        assert far.near == table.nodes.size
+        for lam in _BLOCK_LAMBDAS:
+            got = assembly._diagonal_block(lam, table, far, 0.1)
+            assert got.tobytes() == oracles.diagonal_block_full(lam, table, 0.1).tobytes()
+            got = assembly._diagonal_norm_block(lam, table, far, 0.1)
+            assert got.tobytes() == oracles.diagonal_norm_block_full(lam, table, 0.1).tobytes()
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(
+        SolverSettings().lambda_floor, SolverSettings().lambda_max, exclude_min=True, exclude_max=True
+    ),
+    d=st.floats(1e-3, math.pi),
+    stretch=st.floats(1.0, 10.0),
+)
+def test_far_series_matches_symbol_and_norm_weight(lam, d, stretch):
+    # on xi >= xi_0 sub_symbol is 2z - 2xi + lambda/xi plus strip exponentials
+    # below e^-79.9; the series sums the first, its -d/dlambda is 1/z - 1/xi
+    xi = assembly._far_cut(d) * stretch
+    k = assembly._FAR_POWERS
+    series = float(np.sum(assembly._FAR_COEF * lam ** k * xi ** (1.0 - 2.0 * k)))
+    slope = -float(np.sum(k * assembly._FAR_COEF * lam ** (k - 1) * xi ** (1.0 - 2.0 * k)))
+    z = math.sqrt(xi * xi - lam)
+    # cancellation-free closed forms of the two algebraic parts
+    assert series == pytest.approx(-lam * lam / (xi * (z + xi) ** 2), rel=4 * _EPS, abs=0)
+    assert slope == pytest.approx(lam / (z * xi * (z + xi)), rel=4 * _EPS, abs=0)
+
+    strips = sum(2.0 * z * math.exp(-2.0 * w * z) / -math.expm1(-2.0 * w * z) for w in (math.pi, d))
+    assert strips <= 2.0 * xi * math.exp(-79.9)
+    symbol = float(sub_symbol(np.array([xi]), lam, d)[0])
+    assert abs(series - symbol) <= 4 * _EPS * abs(symbol) + strips
+    # the package's weight cancels 1/z against 1/xi, so it is good to a few
+    # ulp of 1/xi (the series is the more accurate of the two)
+    weight = norm_weight(xi, lam, math.pi) + norm_weight(xi, lam, d) - 1.0 / xi
+    assert abs(slope - weight) <= 8 * _EPS / xi

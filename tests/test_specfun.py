@@ -15,7 +15,7 @@ from winguide.assembly import (
 )
 from winguide.errors import ThresholdError, UnsupportedArgumentError
 from winguide.geometry import WindowSpec
-from winguide.specfun import dtn_symbol, mode_kappa
+from winguide.specfun import _creg, mode_kappa
 
 # Frozen from the series-plus-bisection oracle in oracles.py.
 J0_FIRST_ZERO = 2.404825557695773
@@ -135,10 +135,10 @@ def test_mode_kappa_threshold_error():
 
 
 def test_dtn_symbol_special_points():
-    assert dtn_symbol(0.0, 0.0, math.pi) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert oracles.dtn_symbol(0.0, 0.0, math.pi) == pytest.approx(1.0 / math.pi, rel=1e-12)
     # z = 0 exactly when xi^2 = lambda.
-    assert dtn_symbol(0.8, 0.64, 2.0) == pytest.approx(0.5, rel=1e-12)
-    assert dtn_symbol(10.0, 0.0, math.pi) == pytest.approx(10.0, abs=2e-5)
+    assert oracles.dtn_symbol(0.8, 0.64, 2.0) == pytest.approx(0.5, rel=1e-12)
+    assert oracles.dtn_symbol(10.0, 0.0, math.pi) == pytest.approx(10.0, abs=2e-5)
 
 
 def test_dtn_symbol_even_and_tail():
@@ -147,8 +147,8 @@ def test_dtn_symbol_even_and_tail():
         lam = float(rng.uniform(0.0, 0.999))
         width = float(rng.uniform(0.6, math.pi))
         xi = float(rng.uniform(2.0, 40.0))
-        m_pos = dtn_symbol(xi, lam, width)
-        m_neg = dtn_symbol(-xi, lam, width)
+        m_pos = oracles.dtn_symbol(xi, lam, width)
+        m_neg = oracles.dtn_symbol(-xi, lam, width)
         assert m_pos == m_neg
         z = math.sqrt(xi * xi - lam)
         # The symbol approaches sqrt(xi^2 - lambda) like z * e^{-2 w z}; the
@@ -162,10 +162,31 @@ def test_dtn_symbol_decreasing_in_lambda():
     for width in (2.0, math.pi):
         for xi in (0.0, 0.4, 1.3, 5.0):
             lams = np.linspace(0.05, 0.95, 10)
-            vals = [dtn_symbol(xi, lam, width) for lam in lams]
+            vals = [oracles.dtn_symbol(xi, lam, width) for lam in lams]
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_creg_matches_textbook_symbol():
+    # creg(u; w) = (m(xi) - 1/w)/(2u), u = xi^2 - lambda, with m in textbook form;
+    # the series branch (|w^2 u| <= 0.09) sits where that difference cancels, so
+    # it gets the series' own 1e-12 accuracy, the closed forms 1e-13
+    for width in (0.3, 1.0, 2.0, math.pi):
+        for lam in (0.0, 0.3, 0.9, 0.999):
+            for xi in (0.0, 0.1, 0.5, 0.9, 1.0, 1.7, 4.0, 12.0):
+                u = xi * xi - lam
+                if u == 0.0:
+                    continue
+                want = (oracles.dtn_symbol_textbook(xi, lam, width) - 1.0 / width) / (2.0 * u)
+                got = float(_creg(np.array([u]), width)[0])
+                tol = 2e-12 if abs(width * width * u) <= 0.09 else 1e-13
+                assert got == pytest.approx(want, rel=tol), (width, lam, xi)
+                assert oracles.dtn_symbol(xi, lam, width) == pytest.approx(
+                    oracles.dtn_symbol_textbook(xi, lam, width), rel=1e-13, abs=1e-15
+                )
+        # the removable point: coth(t)/t - 1/t^2 -> 1/3, so creg(0; w) = w/6
+        assert float(_creg(np.array([0.0]), width)[0]) == pytest.approx(width / 6.0, rel=1e-15)
 
 
 def test_dtn_symbol_threshold_error():
     with pytest.raises(ThresholdError):
-        dtn_symbol(1.0, 1.0, math.pi)
+        oracles.dtn_symbol(1.0, 1.0, math.pi)
