@@ -22,7 +22,8 @@ each diagonal block:
     xi_0 = max(24, 40/d) it is evaluated per lambda; above, both strip
     exponentials are below about e^-80 and what is left is the power series
     sum_k 2 c_k lambda^k xi^(1-2k), so those nodes enter through lambda-free
-    moment matrices tabulated once per window (_far_field).
+    moment matrices held in the window table, the one cache of lambda-free
+    per-window data (_build_window_table, keyed by a, N, quadrature and xi_0).
 
 Off-diagonal (window-coupling) blocks use the exact exponential expansion of
 the interface kernel over transverse strip modes,
@@ -267,7 +268,11 @@ def _t3_tail_00(a: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class _WindowTable:
-    """Per-window, lambda-independent quadrature data (LRU-cached by _build_window_table)."""
+    """Per-window, lambda-independent quadrature data: near nodes and far moments.
+
+    LRU-cached by _build_window_table on (a, N, quadrature, xi_0); d enters
+    only through xi_0 = _far_cut(d), so d = 2 and d = pi share one entry.
+    """
 
     a: float
     orders: int
@@ -277,6 +282,8 @@ class _WindowTable:
     dterm: np.ndarray         # pi a^2 (n+1) diagonal
     t3: np.ndarray            # third-moment matrix (even pairs)
     sign: np.ndarray          # (-1)^((n-m)/2) on even pairs, 0 on odd
+    near: int                 # nodes[:near] < xi_0 (nodes ascend)
+    moments: np.ndarray       # (6, orders, orders): sum_far w beta beta^T xi^(1-2k)/pi
 
 
 # 27 times the largest table any test or workload builds (37,368 nodes: a = 3,
@@ -284,10 +291,26 @@ class _WindowTable:
 MAX_TABLE_NODES = 1_000_000
 
 
+# 2 c_k for k = 2..7, c_k = C(1/2, k)(-1)^k the Taylor coefficients of sqrt(1 - s)
+# (exact binary fractions); with s = lambda/xi^2 <= 1/576 the first omitted term
+# is about 3e-18 of the sum
+_FAR_POWERS = np.arange(2, 8)
+_FAR_COEF = np.array([-1 / 4, -1 / 8, -5 / 64, -7 / 128, -21 / 512, -33 / 1024])
+
+
+def _far_cut(d: float) -> float:
+    """xi_0 = max(24, 40/d): from here on e^{-2 pi z}, e^{-2 d z} < e^-79.9 in sub_symbol.
+
+    What is left there is 2 z - 2 xi + lambda/xi = 2 xi (sqrt(1-s) - 1 + s/2),
+    s = lambda/xi^2, summed by _FAR_COEF.
+    """
+    return max(24.0, 40.0 / d)
+
+
 # 16 > 5, the largest benchmark working set (verify-simple 4, modes-widths 5).
 @functools.lru_cache(maxsize=16)
 def _build_window_table(
-    a: float, orders: int, xi_max: float, panel_points: int, panel_width: float
+    a: float, orders: int, xi_max: float, panel_points: int, panel_width: float, xi0: float
 ) -> _WindowTable:
     width = min(panel_width, np.pi / (2.0 * a), 1.0)
     edges = graded_edges(xi_max, width, MAX_TABLE_NODES // panel_points)
@@ -321,73 +344,33 @@ def _build_window_table(
     t3[lower] = t3.T[lower]  # q01 is symmetric only to rounding: mirror the upper triangle
 
     sign = np.where(even, np.where(diff % 4 == 0, 1.0, -1.0), 0.0)
-    return _WindowTable(a, orders, nodes, weights, beta, dterm, t3, sign)
 
-
-def _window_table(a: float, orders: int, settings: SolverSettings) -> _WindowTable:
-    return _build_window_table(
-        a, orders, settings.xi_max, settings.panel_points, settings.panel_width
-    )
-
-
-# 2 c_k for k = 2..7, c_k = C(1/2, k)(-1)^k the Taylor coefficients of sqrt(1 - s)
-# (exact binary fractions); with s = lambda/xi^2 <= 1/576 the first omitted term
-# is about 3e-18 of the sum
-_FAR_POWERS = np.arange(2, 8)
-_FAR_COEF = np.array([-1 / 4, -1 / 8, -5 / 64, -7 / 128, -21 / 512, -33 / 1024])
-
-
-def _far_cut(d: float) -> float:
-    """xi_0 = max(24, 40/d): from here on e^{-2 pi z}, e^{-2 d z} < e^-79.9 in sub_symbol.
-
-    What is left there is 2 z - 2 xi + lambda/xi = 2 xi (sqrt(1-s) - 1 + s/2),
-    s = lambda/xi^2, summed by _FAR_COEF.
-    """
-    return max(24.0, 40.0 / d)
-
-
-@dataclass(frozen=True)
-class _FarField:
-    """Window-table nodes split at xi_0: the near prefix and the far moments."""
-
-    near: int                 # nodes[:near] < xi_0 (nodes ascend)
-    moments: np.ndarray       # (6, orders, orders): sum_far w beta beta^T xi^(1-2k)/pi
-
-
-# one entry per (window table, xi_0); d = 2 and d = pi share xi_0 = 24
-@functools.lru_cache(maxsize=16)
-def _build_far_field(
-    a: float, orders: int, xi_max: float, panel_points: int, panel_width: float, xi0: float
-) -> _FarField:
-    table = _build_window_table(a, orders, xi_max, panel_points, panel_width)
-    near = int(np.searchsorted(table.nodes, xi0))
-    beta = table.beta[:, near:]
-    nodes = table.nodes[near:]
-    weights = table.weights[near:] / np.pi
+    near = int(np.searchsorted(nodes, xi0))
+    far = beta[:, near:]
     moments = np.empty((_FAR_POWERS.size, orders, orders))
-    scaled = np.empty_like(beta)  # the one transient (orders, far nodes) array
+    scaled = np.empty_like(far)  # the one transient (orders, far nodes) array
     for out, k in zip(moments, _FAR_POWERS):
-        np.multiply(beta, weights * nodes ** (1.0 - 2.0 * k), out=scaled)
-        np.matmul(scaled, beta.T, out=out)
-    return _FarField(near, moments)
+        np.multiply(far, weights[near:] / np.pi * nodes[near:] ** (1.0 - 2.0 * k), out=scaled)
+        np.matmul(scaled, far.T, out=out)  # zeros when no node is far
+    return _WindowTable(a, orders, nodes, weights, beta, dterm, t3, sign, near, moments)
 
 
-def _far_field(a: float, orders: int, settings: SolverSettings, d: float) -> _FarField:
-    return _build_far_field(
-        a, orders, settings.xi_max, settings.panel_points, settings.panel_width, _far_cut(d)
+def _window_table(a: float, orders: int, settings: SolverSettings, xi0: float) -> _WindowTable:
+    return _build_window_table(
+        a, orders, settings.xi_max, settings.panel_points, settings.panel_width, xi0
     )
 
 
-def _near_quadrature(table: _WindowTable, near: int, weight: np.ndarray) -> np.ndarray:
-    """sum over the first `near` nodes of w beta beta^T weight/pi."""
-    beta = table.beta[:, :near]
-    return (beta * (table.weights[:near] * weight / np.pi)) @ beta.T
+def _near_quadrature(table: _WindowTable, weight: np.ndarray) -> np.ndarray:
+    """sum over the near nodes of w beta beta^T weight/pi."""
+    beta = table.beta[:, : table.near]
+    return (beta * (table.weights[: table.near] * weight / np.pi)) @ beta.T
 
 
-def _diagonal_block(lam: float, table: _WindowTable, far: _FarField, d: float) -> np.ndarray:
-    quad = _near_quadrature(table, far.near, sub_symbol(table.nodes[: far.near], lam, d))
-    if far.near < table.nodes.size:
-        quad += np.tensordot(_FAR_COEF * lam ** _FAR_POWERS, far.moments, axes=1)
+def _diagonal_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
+    quad = _near_quadrature(table, sub_symbol(table.nodes[: table.near], lam, d))
+    if table.near < table.nodes.size:
+        quad += np.tensordot(_FAR_COEF * lam ** _FAR_POWERS, table.moments, axes=1)
     n = np.arange(table.orders)
     block = quad - lam * np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
     block[np.diag_indices_from(block)] += table.dterm
@@ -429,33 +412,39 @@ def _scaled_moments(a: float, orders: int, kappas: np.ndarray) -> np.ndarray:
     return np.pi * a * a * n * _sp.ive(n, x[None, :]) / x
 
 
-def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int) -> np.ndarray:
-    """Block coupling the left window's basis (rows) to the right window's (cols)."""
+def _cross_series(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int):
+    """Centre distance, kappas, A_k e^{-kappa gap} and both windows' scaled moments."""
     sep = right.center - left.center
     gap = sep - left.half_width - right.half_width
     kappas, amps = cross_kernel_series(lam, d, gap)
-    decay = amps * np.exp(-kappas * gap)
     g_left = _scaled_moments(left.half_width, orders, kappas)
-    g_right = _scaled_moments(right.half_width, orders, kappas)
+    same = right.half_width == left.half_width  # one ive broadcast serves both windows
+    g_right = g_left if same else _scaled_moments(right.half_width, orders, kappas)
+    return sep, kappas, amps * np.exp(-kappas * gap), g_left, g_right
+
+
+def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int) -> np.ndarray:
+    """Block coupling the left window's basis (rows) to the right window's (cols)."""
+    _, _, decay, g_left, g_right = _cross_series(lam, left, right, d, orders)
     n = np.arange(orders)
     parity = np.where(n % 2 == 0, 1.0, -1.0)
     # entry = -sum_k decay_k * gL_m(k) * (-1)^n gR_n(k)
     return -(g_left * decay) @ g_right.T * parity[None, :]
 
 
-def _diagonal_norm_block(lam: float, table: _WindowTable, far: _FarField, d: float) -> np.ndarray:
+def _diagonal_norm_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
     """-d/dlambda of _diagonal_block: weight N_pi + N_d - 1_{xi>=1}/xi, plus the t3 term.
 
     On the far nodes the weight is minus the lambda-derivative of the series,
     -sum_k 2 k c_k lambda^(k-1) xi^(1-2k).
     """
-    nodes = table.nodes[: far.near]
+    nodes = table.nodes[: table.near]
     w = norm_weight(nodes, lam, np.pi) + norm_weight(nodes, lam, d)
     w -= np.where(nodes >= 1.0, 1.0 / nodes, 0.0)
-    block = _near_quadrature(table, far.near, w)
-    if far.near < table.nodes.size:
+    block = _near_quadrature(table, w)
+    if table.near < table.nodes.size:
         slope = _FAR_POWERS * _FAR_COEF * lam ** (_FAR_POWERS - 1)
-        block -= np.tensordot(slope, far.moments, axes=1)
+        block -= np.tensordot(slope, table.moments, axes=1)
     n = np.arange(table.orders)
     block += np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
     block *= table.sign
@@ -469,16 +458,13 @@ def _cross_norm_block(lam: float, left: WindowSpec, right: WindowSpec, d: float,
     P; dA_k/dkappa = -A_k/kappa, dkappa/dlambda = -1/(2 kappa) and
     d/dx [I_{n+1}(x)/x] = I_{n+2}(x)/x + n I_{n+1}(x)/x^2.
     """
-    sep = right.center - left.center
-    gap = sep - left.half_width - right.half_width
-    kappas, amps = cross_kernel_series(lam, d, gap)
-    w = amps * np.exp(-kappas * gap) / (2.0 * kappas)
+    sep, kappas, decay, *ext = _cross_series(lam, left, right, d, orders + 1)
+    w = decay / (2.0 * kappas)
     n = np.arange(orders)[:, None]
     g, s = [], []  # ive-scaled moments and their kappa-derivatives, left then right
-    for a in (left.half_width, right.half_width):
-        ext = _scaled_moments(a, orders + 1, kappas)
-        g.append(ext[:-1])
-        s.append(a * (n + 1.0) / (n + 2.0) * ext[1:] + n * ext[:-1] / kappas)
+    for a, moments in zip((left.half_width, right.half_width), ext):
+        g.append(moments[:-1])
+        s.append(a * (n + 1.0) / (n + 2.0) * moments[1:] + n * moments[:-1] / kappas)
     slope = (g[0] * (w * (-1.0 / kappas - sep)) + s[0] * w) @ g[1].T + (g[0] * w) @ s[1].T
     return -slope * np.where(n.T % 2 == 0, 1.0, -1.0)
 
@@ -512,6 +498,29 @@ def tail_estimate(lam: float, a: float, xi_max: float, d: float, n: int, m: int)
     return alg + expo
 
 
+def _window_tables(geometry: Geometry, settings: SolverSettings) -> list[_WindowTable]:
+    xi0 = _far_cut(geometry.d)
+    return [
+        _window_table(w.half_width, settings.basis_order, settings, xi0) for w in geometry.windows
+    ]
+
+
+def _block_matrix(
+    lam: float, geometry: Geometry, orders: int, tables: list[_WindowTable], diagonal, cross
+) -> np.ndarray:
+    """Symmetric matrix of per-window diagonal blocks and mirrored upper cross blocks."""
+    windows = geometry.windows
+    out = np.zeros((orders * len(windows),) * 2)
+    for i, table in enumerate(tables):
+        rows = slice(i * orders, (i + 1) * orders)
+        out[rows, rows] = diagonal(lam, table, geometry.d)
+        for j in range(i + 1, len(windows)):
+            cols = slice(j * orders, (j + 1) * orders)
+            out[rows, cols] = cross(lam, windows[i], windows[j], geometry.d, orders)
+            out[cols, rows] = out[rows, cols].T
+    return out
+
+
 def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) -> GalerkinSystem:
     """Assemble the symmetric system matrix M(lambda) for all windows."""
     if not (settings.lambda_floor < lam < settings.lambda_max):
@@ -521,32 +530,18 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
     if not geometry.windows:
         raise ValidationError("assembly requires at least one window")
     orders = settings.basis_order
-    count = len(geometry.windows)
-    offsets = tuple(range(0, orders * (count + 1), orders))
-    matrix = np.zeros((orders * count, orders * count))
-
-    worst_tail = 0.0
-    for i, win in enumerate(geometry.windows):
-        table = _window_table(win.half_width, orders, settings)
-        far = _far_field(win.half_width, orders, settings, geometry.d)
-        sl = slice(offsets[i], offsets[i + 1])
-        matrix[sl, sl] = _diagonal_block(lam, table, far, geometry.d)
-        worst_tail = max(
-            worst_tail,
-            tail_estimate(lam, win.half_width, settings.xi_max, geometry.d, orders - 1, orders - 1),
-        )
+    tables = _window_tables(geometry, settings)  # oversized tables fail before the tail check
+    worst_tail = max(
+        tail_estimate(lam, w.half_width, settings.xi_max, geometry.d, orders - 1, orders - 1)
+        for w in geometry.windows
+    )
     if worst_tail > 1e-8:
         raise AccuracyError(
             "quadrature tail beyond xi_max exceeds tolerance; increase quadrature.xi_max",
             {"tail_bound": worst_tail, "xi_max": settings.xi_max},
         )
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            blk = _cross_block(lam, geometry.windows[i], geometry.windows[j], geometry.d, orders)
-            matrix[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = blk
-            matrix[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = blk.T
-
+    matrix = _block_matrix(lam, geometry, orders, tables, _diagonal_block, _cross_block)
+    offsets = tuple(range(0, orders * (len(tables) + 1), orders))
     return GalerkinSystem(lam, matrix, offsets, geometry, settings, worst_tail)
 
 
@@ -556,16 +551,7 @@ def norm_matrix(lam: float, geometry: Geometry, settings: SolverSettings) -> np.
     Symmetric positive definite for lambda < 1; it reuses the window tables and
     the cross-window series of assemble_galerkin at the same settings.
     """
-    orders = settings.basis_order
-    windows = geometry.windows
-    gram = np.zeros((orders * len(windows),) * 2)
-    for i, win in enumerate(windows):
-        rows = slice(i * orders, (i + 1) * orders)
-        table = _window_table(win.half_width, orders, settings)
-        far = _far_field(win.half_width, orders, settings, geometry.d)
-        gram[rows, rows] = _diagonal_norm_block(lam, table, far, geometry.d)
-        for j in range(i + 1, len(windows)):
-            cols = slice(j * orders, (j + 1) * orders)
-            gram[rows, cols] = _cross_norm_block(lam, win, windows[j], geometry.d, orders)
-            gram[cols, rows] = gram[rows, cols].T
-    return gram
+    tables = _window_tables(geometry, settings)
+    return _block_matrix(
+        lam, geometry, settings.basis_order, tables, _diagonal_norm_block, _cross_norm_block
+    )

@@ -370,12 +370,15 @@ def sweep_l(config: SweepConfig, l_values, settings: SolverSettings | None = Non
 def _sweep(config: SweepConfig, l_values, settings: SolverSettings):
     """Single-window spectra, sigma* elements, u-problem entries and one record per l.
 
-    The l values are taken in increasing order and must all lie in the
-    separated regime l >= max(a_minus, a_plus) + 1; sigma* must not be empty.
+    The l values are taken in increasing order, must be distinct and must all
+    lie in the separated regime l >= max(a_minus, a_plus) + 1; sigma* must not
+    be empty.
     """
     l_values = sorted(float(l) for l in l_values)
     if not l_values:
         raise ValidationError("sweep needs at least one l value")
+    if len(set(l_values)) < len(l_values):
+        raise ValidationError(f"l values must be distinct, got {l_values}")
     l_min = max(config.a_minus, config.a_plus) + 1.0
     if l_values[0] < l_min:
         raise ValidationError(f"l = {l_values[0]} below the separated regime l >= {l_min}")

@@ -217,7 +217,9 @@ def _single_window_quadrature(trace: TraceFunction):
             "the quadrature norm routes take single-window traces; "
             "normalize_mode uses norm_matrix for any window set"
         )
-    table = _window_table(trace.geometry.windows[0].half_width, trace.order, _ENERGY_QUADRATURE)
+    a = trace.geometry.windows[0].half_width
+    # cut at xi_max: every node is near, so the table builds no far moments
+    table = _window_table(a, trace.order, _ENERGY_QUADRATURE, _ENERGY_QUADRATURE.xi_max)
     return table.nodes, table.weights, *_eo(trace.window_coeffs(0), table.beta)
 
 

@@ -167,7 +167,7 @@ def test_basis_overlap_gram_matches_quadrature():
 def test_table_arrays_bitwise_equal_to_loops(a, orders):
     # the array forms of t3 and the overlap Gram matrix do the loops' arithmetic
     for xi_max in (200.0, 800.0):
-        table = assembly._build_window_table.__wrapped__(a, orders, xi_max, 24, 1.0)  # uncached
+        table = assembly._build_window_table.__wrapped__(a, orders, xi_max, 24, 1.0, xi_max)  # uncached
         want = oracles.window_t3_loop(
             a, xi_max, table.nodes, table.weights, table.beta, assembly._t3_tail_00
         )
@@ -217,48 +217,58 @@ def test_norm_matrix_symmetric_positive_definite(case):
     assert np.linalg.eigvalsh(gram)[0] > 0.0
 
 
+@pytest.mark.parametrize("b", [1.0, 0.7])
+def test_cross_blocks_compute_moments_once_per_half_width(monkeypatch, b):
+    # one _scaled_moments call per distinct half-width of the pair
+    counted = []
+
+    def count(*args):
+        counted.append(args[0])
+        return scaled(*args)
+
+    scaled = assembly._scaled_moments
+    monkeypatch.setattr(assembly, "_scaled_moments", count)
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-3.0, 1.0), WindowSpec(3.0, b)))
+    settings = SolverSettings(basis_order=12)
+    for build in (assemble_galerkin, norm_matrix):
+        counted.clear()
+        build(0.6, geometry, settings)
+        assert sorted(counted) == sorted({1.0, b})
+
+
 def test_window_table_cache_bounded_and_rebuild_bitwise():
     small = SolverSettings(basis_order=4, xi_max=50.0)
-    first = assembly._window_table(0.5, 4, small)
-    first_far = assembly._far_field(0.5, 4, small, 0.5)  # xi_0 = 80 > xi_max: no far nodes
+    xi0 = assembly._far_cut(0.5)  # 80 > xi_max: no far nodes
+    first = assembly._window_table(0.5, 4, small, xi0)
     for k in range(1, 17):
-        assembly._window_table(0.5 + 0.1 * k, 4, small)
-        assembly._far_field(0.5 + 0.1 * k, 4, small, 0.5)
-    for build in (assembly._build_window_table, assembly._build_far_field):
-        info = build.cache_info()
-        assert info.maxsize == 16
-        assert info.currsize <= 16
+        assembly._window_table(0.5 + 0.1 * k, 4, small, xi0)
     info = assembly._build_window_table.cache_info()
-    far_info = assembly._build_far_field.cache_info()
-    rebuilt = assembly._window_table(0.5, 4, small)
+    assert info.maxsize == 16
+    assert info.currsize <= 16
+    rebuilt = assembly._window_table(0.5, 4, small, xi0)
     assert assembly._build_window_table.cache_info().misses == info.misses + 1
     assert rebuilt is not first
     for field in ("nodes", "weights", "beta", "dterm", "t3", "sign"):
         assert np.array_equal(getattr(rebuilt, field), getattr(first, field))
-    rebuilt_far = assembly._far_field(0.5, 4, small, 0.5)
-    assert assembly._build_far_field.cache_info().misses == far_info.misses + 1
-    assert rebuilt_far is not first_far
-    assert rebuilt_far.near == first_far.near == first.nodes.size
-    assert rebuilt_far.moments.tobytes() == first_far.moments.tobytes()
+    assert rebuilt.near == first.near == first.nodes.size
+    assert rebuilt.moments.tobytes() == first.moments.tobytes()
 
-    # a far field with nodes, rebuilt from a cold table cache
-    far = assembly._far_field(1.0, 4, small, 2.0)
-    assert 0 < far.near < assembly._window_table(1.0, 4, small).nodes.size
+    # a table with far nodes, rebuilt from a cold cache
+    far = assembly._window_table(1.0, 4, small, assembly._far_cut(2.0))
+    assert 0 < far.near < far.nodes.size
     assembly._build_window_table.cache_clear()
-    assembly._build_far_field.cache_clear()
-    again = assembly._far_field(1.0, 4, small, 2.0)
+    again = assembly._window_table(1.0, 4, small, assembly._far_cut(2.0))
     assert again.near == far.near
     assert again.moments.tobytes() == far.moments.tobytes()
 
 
 def test_assembly_independent_of_far_field_cache_order():
-    # d = 2 (xi_0 = 24) and d = 0.5 (xi_0 = 80) keep separate far fields of one table
+    # d = 2 (xi_0 = 24) and d = 0.5 (xi_0 = 80) keep separate tables of one window
     settings = SolverSettings(basis_order=12)
     windows = (WindowSpec(-3.0, 1.0), WindowSpec(3.0, 0.7))
     runs = []
     for order in ((2.0, 0.5), (0.5, 2.0)):
         assembly._build_window_table.cache_clear()
-        assembly._build_far_field.cache_clear()
         out = {}
         for d in order:
             geometry = Geometry(d=d, windows=windows)
@@ -277,16 +287,15 @@ _BLOCK_LAMBDAS = np.linspace(SolverSettings().lambda_floor, SolverSettings().lam
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.2, 3.0])
 def test_diagonal_blocks_match_full_quadrature(a, d):
     settings = SolverSettings()
-    table = assembly._window_table(a, settings.basis_order, settings)
-    far = assembly._far_field(a, settings.basis_order, settings, d)
-    assert table.nodes[far.near - 1] < assembly._far_cut(d) <= table.nodes[far.near]
+    table = assembly._window_table(a, settings.basis_order, settings, assembly._far_cut(d))
+    assert table.nodes[table.near - 1] < assembly._far_cut(d) <= table.nodes[table.near]
     for lam in _BLOCK_LAMBDAS:
         for block, full in (
             (assembly._diagonal_block, oracles.diagonal_block_full),
             (assembly._diagonal_norm_block, oracles.diagonal_norm_block_full),
         ):
             want = full(lam, table, d)
-            got = block(lam, table, far, d)
+            got = block(lam, table, d)
             assert np.array_equal(got, got.T)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -295,13 +304,12 @@ def test_diagonal_blocks_bitwise_without_far_nodes():
     # d = 0.1: xi_0 = 400 >= xi_max = 200, so every node is near
     settings = SolverSettings()
     for a in (0.5, 1.0, 3.0):
-        table = assembly._window_table(a, settings.basis_order, settings)
-        far = assembly._far_field(a, settings.basis_order, settings, 0.1)
-        assert far.near == table.nodes.size
+        table = assembly._window_table(a, settings.basis_order, settings, assembly._far_cut(0.1))
+        assert table.near == table.nodes.size
         for lam in _BLOCK_LAMBDAS:
-            got = assembly._diagonal_block(lam, table, far, 0.1)
+            got = assembly._diagonal_block(lam, table, 0.1)
             assert got.tobytes() == oracles.diagonal_block_full(lam, table, 0.1).tobytes()
-            got = assembly._diagonal_norm_block(lam, table, far, 0.1)
+            got = assembly._diagonal_norm_block(lam, table, 0.1)
             assert got.tobytes() == oracles.diagonal_norm_block_full(lam, table, 0.1).tobytes()
 
 

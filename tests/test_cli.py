@@ -263,6 +263,18 @@ def test_verify_unseparated_l_values_exit_two(tmp_path, capsys):
         assert "separated regime" in capsys.readouterr().err
 
 
+def test_repeated_l_values_exit_two(tmp_path, capsys):
+    # a repeated l would be solved again and fitted as one abscissa
+    document = {"a_minus": 1.0, "a_plus": 1.0, "d": 2.0, "l_values": [5.0, 5.0, 5.0]}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(document))
+    for argv in (["verify", str(path)], ["sweep", str(path)], ["sweep", str(path), "--l", "6,5,6"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: l values must be distinct")
+        assert "Traceback" not in err
+
+
 def test_oracle_json_strict(single_cfg, capsys):
     assert main(
         ["oracle", single_cfg, "--h", "0.1", "--L", "11", "--count", "1", "--levels", "1"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from winguide import assembly
+from winguide import assembly, waveguide
+from winguide.assembly import assemble_galerkin, norm_matrix
 from winguide.errors import (
     DegenerateInputError,
     EvaluationDomainError,
@@ -285,3 +286,40 @@ def test_compute_modes_normalizes_with_scan_quadrature():
     assembly._build_window_table.cache_clear()
     compute_modes(Geometry(2.0, (WindowSpec(0, 1.0),)), SolverSettings(panel_points=16))
     assert assembly._build_window_table.cache_info().currsize == 1
+
+
+def test_window_table_shared_by_far_cut_not_d():
+    # d = 2 and d = pi both cut at xi_0 = 24, so the second pass over a width
+    # hits the first pass's table; d = 0.5 cuts at 80 and builds one more
+    settings = SolverSettings()
+    window = (WindowSpec(0.0, 0.9),)
+    assembly._build_window_table.cache_clear()
+    compute_modes(Geometry(2.0, window), settings)
+    misses = assembly._build_window_table.cache_info().misses
+    for d, new in ((math.pi, 0), (0.5, 1)):
+        assemble_galerkin(0.6, Geometry(d, window), settings)
+        norm_matrix(0.6, Geometry(d, window), settings)
+        assert assembly._build_window_table.cache_info().misses == misses + new
+
+
+@pytest.mark.parametrize("a, size", [(1.0, 19_920), (1.2, 19_920), (3.0, 37_368)])
+def test_energy_table_has_no_far_nodes(monkeypatch, a, size):
+    # the quadrature norm routes read the xi_max = 800 table; cut at its
+    # xi_max it holds no far node, so no far-moment product is built for it
+    seen = []
+
+    def spy(*args):
+        seen.append(assembly._window_table(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(waveguide, "_window_table", spy)
+    solution = solve_U(0.3, a, 2.0)
+    field_norm(solution.trace)
+    gradient_norm(solution.trace)
+    assert len(seen) == 4  # solve_U's energy residual reads it twice
+    for table in seen:
+        assert table.nodes.size == size
+        assert table.near == table.nodes.size
+        assert not table.moments.any()
+    if a <= 1.2:  # the far moments would have spanned 18,632 of these nodes
+        assert np.count_nonzero(seen[0].nodes >= assembly._far_cut(2.0)) == 18_632
