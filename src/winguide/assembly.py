@@ -34,6 +34,9 @@ which for disjoint windows turns every entry into a fast geometric series of
 closed-form exponential moments; no oscillatory quadrature is involved and the
 entries are accurate in an absolute sense at any separation.
 
+The Bessel values (J_n in the beta tables, e^-x I_n in the moments) come from
+the numpy-only recurrences of specfun, so this path imports no scipy.
+
 Entries with odd n - m vanish identically by parity; both block types are
 assembled symmetrically (each unordered pair computed once).  The field's L2
 density is N = -dm/dlambda, so norm_matrix (-dM/dlambda) gives its norm.
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+from numpy.polynomial import legendre
 
 from .errors import (
     AccuracyError,
@@ -55,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Geometry, SolverSettings, WindowSpec
-from .specfun import _creg, norm_weight
+from .specfun import _creg, bessel_j, ive, norm_weight
 
 __all__ = [
     "assemble_exp_rhs",
@@ -71,14 +74,9 @@ __all__ = [
 ]
 
 
-# one Miller step grows a value by up to 2k/x; from below the 1e250 rescale
-# point it must stay finite, so x is bounded well away from 2k/1e58
-_MIN_BESSEL_ARG = 1e-30
-
-
 @functools.cache
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
+    return legendre.leggauss(points)
 
 
 def gl_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,54 +137,16 @@ def graded_edges(xi_max: float, width: float, max_panels: float = math.inf) -> n
 def beta_matrix(a: float, orders: int, nodes: np.ndarray) -> np.ndarray:
     """B[n, q] = pi a^2 (n+1) J_{n+1}(a xi_q)/(a xi_q) for n = 0..orders-1.
 
-    J_1..J_N (N = orders) come from one vectorized three-term recurrence,
-    J_{k-1} + J_{k+1} = (2k/x) J_k, split at x = N:
-
-      * x > N: upward from j0(x), j1(x); stable because every k < x;
-      * x <= N: Miller's downward recurrence from (J_{M+1}, J_M) = (0, tiny),
-        M = N + 40 + 2 ceil(sqrt(40 N)), rescaled by 1e-250 whenever a value
-        exceeds 1e250, then normalized per node by whichever of j0(x), j1(x)
-        is larger in magnitude (they have no common zero).
-
-    Rows are written straight into the output and scaled in place; only three
-    rows of recurrence state are live. Nodes must satisfy a xi >= 1e-30 (Gauss
-    nodes never sit on 0); the xi -> 0 limit is pi a^2/2 for n = 0 and 0
-    otherwise, handled by callers that need xi = 0.
+    J_1..J_N (N = orders) are rows of specfun.bessel_j: one vectorized
+    three-term recurrence, upward from Hankel's J_0, J_1 where x = a xi >
+    max(N, 25) and Miller's downward recurrence, normalized by the Neumann sum
+    J_0 + 2 sum J_2k = 1, below. Its rows are scaled in place. Nodes must
+    satisfy a xi >= 1e-30 (Gauss nodes never sit on 0); the xi -> 0 limit is
+    pi a^2/2 for n = 0 and 0 otherwise, handled by callers that need xi = 0.
     """
     x = a * np.asarray(nodes, dtype=float)
-    if x.size and not np.min(x) >= _MIN_BESSEL_ARG:
-        raise UnsupportedArgumentError(
-            f"a*xi = {np.min(x):.3g} below validated Bessel-J range ({_MIN_BESSEL_ARG:g})"
-        )
-    out = np.empty((orders, x.size))
-    up = x > orders
-    down = ~up
-    factor = np.pi * a * a / x  # times (n+1) below; times the Miller norm on `down`
-    if np.any(up):
-        xu = x[up]
-        prev, cur = _sp.j0(xu), _sp.j1(xu)
-        out[0, up] = cur
-        for k in range(1, orders):
-            prev, cur = cur, (2.0 * k / xu) * cur - prev
-            out[k, up] = cur
-    if np.any(down):
-        xd = x[down]
-        cols = np.flatnonzero(down)
-        nxt, cur = np.zeros_like(xd), np.full_like(xd, 1e-280)
-        start = orders + 40 + 2 * int(np.ceil(np.sqrt(40.0 * orders)))
-        for k in range(start, 0, -1):  # (J_k, J_{k+1}) -> (J_{k-1}, J_k)
-            nxt, cur = cur, (2.0 * k / xd) * cur - nxt
-            big = np.abs(cur) > 1e250
-            if np.any(big):  # rows k-1.. already hold J_k..J_N
-                cur[big] *= 1e-250
-                nxt[big] *= 1e-250
-                out[k - 1 :, cols[big]] *= 1e-250
-            if 2 <= k <= orders + 1:
-                out[k - 2, cols] = cur
-        j0, j1 = _sp.j0(xd), _sp.j1(xd)
-        by_j0 = np.abs(j0) >= np.abs(j1)
-        factor[down] *= np.where(by_j0, j0, j1) / np.where(by_j0, cur, nxt)
-    out *= factor
+    out = bessel_j(orders, x)[1:]
+    out *= np.pi * a * a / x
     out *= np.arange(1.0, orders + 1.0)[:, None]
     return out
 
@@ -209,7 +169,7 @@ def assemble_exp_rhs(lam: float, window: WindowSpec, kappa: float, orientation: 
     if x > 700.0:
         raise UnsupportedArgumentError(f"kappa*a = {x:.3g} beyond validated Bessel-I range (700)")
     n = np.arange(order)
-    vals = np.pi * a * a * (n + 1) * _sp.iv(n + 1, x) / x
+    vals = np.pi * a * a * (n + 1) * ive(order, [x])[:, 0] * math.exp(x) / x
     if orientation < 0:
         vals = vals * np.where(n % 2 == 0, 1.0, -1.0)
     return vals
@@ -409,7 +369,7 @@ def _scaled_moments(a: float, orders: int, kappas: np.ndarray) -> np.ndarray:
     """g_n(kappa) e^{-a kappa}: moments pi a^2 (n+1) I_{n+1}(a k)/(a k), ive-scaled."""
     x = a * kappas
     n = np.arange(1.0, orders + 1.0)[:, None]
-    return np.pi * a * a * n * _sp.ive(n, x[None, :]) / x
+    return np.pi * a * a * n * ive(orders, x) / x
 
 
 def _cross_series(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int):
@@ -418,7 +378,7 @@ def _cross_series(lam: float, left: WindowSpec, right: WindowSpec, d: float, ord
     gap = sep - left.half_width - right.half_width
     kappas, amps = cross_kernel_series(lam, d, gap)
     g_left = _scaled_moments(left.half_width, orders, kappas)
-    same = right.half_width == left.half_width  # one ive broadcast serves both windows
+    same = right.half_width == left.half_width  # one ive pass serves both windows
     g_right = g_left if same else _scaled_moments(right.half_width, orders, kappas)
     return sep, kappas, amps * np.exp(-kappas * gap), g_left, g_right
 

@@ -42,6 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# at module level, so that importing this module pays for scipy.sparse.linalg;
+# the CLI imports it only for the oracle command
+from scipy import sparse
+from scipy.sparse import linalg
+
 from .errors import InsufficientDataError, NumericalFailureError, ValidationError
 from .geometry import Geometry
 
@@ -202,8 +207,6 @@ def _assemble(mesh: _Mesh):
     C = B^{-1/2} A B^{-1/2}, whose eigenvalues approximate the Dirichlet
     Laplacian's.
     """
-    from scipy import sparse  # imported here, as in _smallest_eigenpairs, for start-up time
-
     present, n = mesh.present, mesh.n_nodes
     index = np.full(present.shape, -1)
     index[present] = np.arange(n)
@@ -243,13 +246,9 @@ def _count_below(C, sigma: float) -> int:
     on a singular factor; neither leaves an inertia to read, and both raise
     NumericalFailureError.
     """
-    # imported here, as in _smallest_eigenpairs, for start-up time
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     shifted = (C - sigma * sparse.identity(C.shape[0], format="csc")).tocsc()
     try:
-        lu = splu(
+        lu = linalg.splu(
             shifted,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
@@ -274,12 +273,9 @@ def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
     Callers ask for no more pairs than they keep: at tol = 0 ARPACK spends
     most of its solves on any wanted eigenvalue in the continuum above 1.
     """
-    # imported here: scipy.sparse.linalg would add to the start-up of every command
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
-
     n = C.shape[0]
     # a symmetric fill-reducing ordering: about half the fill of the default COLAMD
-    lu = splu(C, permc_spec="MMD_AT_PLUS_A")
+    lu = linalg.splu(C, permc_spec="MMD_AT_PLUS_A")
     solves = 0
 
     def solve(x):
@@ -287,11 +283,11 @@ def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
         solves += 1
         return lu.solve(x)
 
-    inverse = LinearOperator((n, n), matvec=solve, dtype=C.dtype)
+    inverse = linalg.LinearOperator((n, n), matvec=solve, dtype=C.dtype)
     v0 = np.random.default_rng(_SEED).standard_normal(n)
     try:
-        vals, vecs = eigsh(C, count, sigma=0.0, which="LM", tol=0.0, v0=v0, OPinv=inverse)
-    except ArpackError as exc:
+        vals, vecs = linalg.eigsh(C, count, sigma=0.0, which="LM", tol=0.0, v0=v0, OPinv=inverse)
+    except linalg.ArpackError as exc:
         raise NumericalFailureError(
             f"ARPACK shift-invert failed after {solves} solves: {exc}"
         ) from exc

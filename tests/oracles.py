@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 from scipy.special import eval_chebyu, jv
 
@@ -196,6 +197,61 @@ def beta_matrix_jv(a: float, orders: int, nodes) -> np.ndarray:
     for n in range(orders):
         out[n] = np.pi * a * a * (n + 1) * jv(n + 1, x) / x
     return out
+
+
+def j0_j1_scipy(x) -> tuple[np.ndarray, np.ndarray]:
+    """J_0(x), J_1(x) from each scipy routine where it is accurate.
+
+    Against mpmath at 30 digits, relative to max(sqrt(2/(pi x)), |J|):
+    Cephes j0/j1 are off by at most 1.1e-15 on (0, 25], but above 25 they
+    round x - pi/4 and are off by up to 2.1e-13 near x = 2000; AMOS jv is off
+    by at most 6.4e-16 above 25 (2.1e-15 near x = 20).
+    """
+    x = np.asarray(x, dtype=float)
+    low = x <= 25.0
+    return (
+        np.where(low, special.j0(x), jv(0, x)),
+        np.where(low, special.j1(x), jv(1, x)),
+    )
+
+
+# at and below this, scipy's ive/iv give way to the ascending series: below
+# about 1e-10 scipy is off by up to 5.6e-14 relative (against mpmath)
+_I_SERIES_X = 1e-3
+
+
+def _i_series_scaled(order: int, x: float) -> float:
+    """e^-x I_order(x) by its ascending series, term by term in Python floats."""
+    lead = math.exp(-x)
+    for j in range(1, order + 1):
+        lead *= 0.5 * x / j
+    q = 0.25 * x * x
+    term, total = 1.0, 1.0
+    for k in range(1, 20):
+        term *= q / (k * (order + k))
+        total += term
+    return lead * total
+
+
+def _i_reference(scipy_fn, scaled: bool, orders: int, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    n = np.arange(1, orders + 1)[:, None]
+    out = scipy_fn(n, x[None, :])
+    for col in np.flatnonzero(x <= _I_SERIES_X):
+        xc = float(x[col])
+        factor = 1.0 if scaled else math.exp(xc)
+        out[:, col] = [factor * _i_series_scaled(order, xc) for order in range(1, orders + 1)]
+    return out
+
+
+def ive_scipy(orders: int, x) -> np.ndarray:
+    """e^-x I_n(x), n = 1..orders: scipy.special.ive, the series at and below 1e-3."""
+    return _i_reference(special.ive, True, orders, x)
+
+
+def iv_scipy(orders: int, x) -> np.ndarray:
+    """I_n(x), n = 1..orders: scipy.special.iv, the series at and below 1e-3."""
+    return _i_reference(special.iv, False, orders, x)
 
 
 def quad_basis_ft(n: int, a: float, xi: float) -> complex:

@@ -353,3 +353,21 @@ def test_cli_import_loads_no_heavy_scipy_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(result.stdout) == []
+
+
+def test_cli_import_loads_no_scipy_and_the_oracle_loads_sparse_linalg():
+    # the Galerkin path is numpy-only; the FD oracle pays for scipy when it is imported
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import json, sys, winguide.cli; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
+        "import winguide.fd_oracle; "
+        "print(json.dumps([loaded, 'scipy.sparse.linalg' in sys.modules]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == [[], True]

@@ -15,7 +15,7 @@ from winguide.assembly import (
 )
 from winguide.errors import ThresholdError, UnsupportedArgumentError
 from winguide.geometry import WindowSpec
-from winguide.specfun import _creg, mode_kappa
+from winguide.specfun import _creg, bessel_j, ive, mode_kappa
 
 # Frozen from the series-plus-bisection oracle in oracles.py.
 J0_FIRST_ZERO = 2.404825557695773
@@ -117,6 +117,69 @@ def test_bessel_i_values():
             assert scaled * np.exp(x) == pytest.approx(
                 oracles.bessel_i_series(order, x), rel=1e-10
             )
+
+
+# every x the program can reach: tiny a sqrt(threshold_margin) up to far past
+# the cross series' a kappa_k (22.6 in the default verify configs, about 44 a
+# / gap in general), with both sides of each switch to Hankel's expansion
+IVE_ARGS = np.concatenate([
+    np.geomspace(1e-300, 3e4, 641),
+    np.linspace(0.5, 60.0, 120),
+    [29.99, 30.0, 1088.9, 1089.0, 16640.9, 16641.0],
+])
+
+
+@pytest.mark.parametrize("orders", [4, 33, 129])
+def test_ive_matches_scipy_within_1e_14_of_column_max(orders):
+    want = oracles.ive_scipy(orders, IVE_ARGS)
+    col_max = np.max(np.abs(want), axis=0)
+    # one call over every argument (each method on its whole range, the Miller
+    # start set by the largest x below the Hankel switch), and every 15th
+    # argument alone (the start set by that argument)
+    got = ive(orders, IVE_ARGS)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-14 * col_max)
+    for col in range(0, IVE_ARGS.size, 15):
+        alone = ive(orders, IVE_ARGS[col : col + 1])[:, 0]
+        assert np.all(np.abs(alone - want[:, col]) <= 1e-14 * col_max[col]), IVE_ARGS[col]
+
+
+def test_exp_rhs_matches_scipy_iv():
+    # assemble_exp_rhs takes I_n as ive times e^x, up to its 700 limit
+    x = np.concatenate([np.geomspace(1e-300, 700.0, 301), [700.0]])
+    want = oracles.iv_scipy(33, x)
+    for col, xc in enumerate(x):
+        got = assemble_exp_rhs(0.5, UNIT, xc, +1, 32) * xc / (np.pi * np.arange(1, 33))
+        ref = want[:-1, col]
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.max(ref)), xc
+
+
+# the scipy reference's own error (j0_j1_scipy's docstring), on top of the
+# 2e-15 asked of bessel_j itself
+J_REFERENCE_ERROR = 1.1e-15
+J_ARGS = np.concatenate([np.geomspace(1e-8, 2400.0, 4001), np.linspace(0.01, 60.0, 6000)])
+
+
+def _j_scale(x, ref):
+    return np.maximum(np.sqrt(2.0 / (np.pi * x)), np.abs(ref))
+
+
+def test_j0_j1_match_scipy():
+    got = bessel_j(1, J_ARGS)
+    for row, ref in enumerate(oracles.j0_j1_scipy(J_ARGS)):
+        err = np.abs(got[row] - ref) / _j_scale(J_ARGS, ref)
+        assert np.max(err) <= 2e-15 + J_REFERENCE_ERROR, (row, J_ARGS[np.argmax(err)])
+
+
+def test_j0_j1_within_2e_15_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.geomspace(1e-8, 2400.0, 300), np.linspace(0.5, 40.0, 300)])
+    got = bessel_j(1, x)
+    with mpmath.workdps(30):
+        for row in (0, 1):
+            ref = np.array([float(mpmath.besselj(row, xc)) for xc in x])
+            err = np.abs(got[row] - ref) / _j_scale(x, ref)
+            assert np.max(err) <= 2e-15, (row, x[np.argmax(err)])
 
 
 def test_mode_kappa_values():
