@@ -12,10 +12,20 @@ Dirichlet closure next to an absent node.
 The number of eigenvalues below the threshold 1 is counted once, on the
 coarsest mesh, by Sylvester's law of inertia (the negative pivots of an
 unpivoted sparse LDL^T of C - I); no level can keep more. That many smallest
-eigenvalues then come from ARPACK in shift-invert mode about zero on a sparse
-LU factorization, started from a seeded vector so that repeated runs agree
-bitwise. Richardson extrapolation over a nested mesh family removes the
-leading mesh error.
+eigenvalues then come from ARPACK in shift-invert mode on the same kind of
+LDL^T factorization, started from a seeded vector so that repeated runs agree
+bitwise (Ericsson & Ruhe, Math. Comp. 35, 1980). The coarsest mesh is solved
+about zero. Each finer mesh is solved about the coarser mesh's ground
+eigenvalue, a few 1e-3 above its own, which takes about a third of the
+solves; the shift comes from the FD family alone, never from the Galerkin
+solver. A mode just under 1 on the coarsest mesh may lie above 1 on a finer
+one (refinement raises the scheme's eigenvalues where the field is smooth and
+lowers them near the window tips); the solve about the shift then returns
+fewer eigenvalues below 1 than the coarsest count, and that level is solved
+again about zero. Each eigenvalue is the Rayleigh quotient of its Ritz vector
+on C, so no level depends on the shift beyond rounding.
+Richardson extrapolation over a nested mesh family removes the leading mesh
+error.
 
 Error budget, documented rather than hidden:
 
@@ -235,47 +245,62 @@ def _assemble(mesh: _Mesh):
     return sparse.csc_matrix((entries, (rows, cols)), shape=(n, n))
 
 
-def _count_below(C, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric sparse matrix C below sigma.
+def _factor(C, sigma: float):
+    """Unpivoted sparse LDL^T of C - sigma I, for the symmetric sparse matrix C.
 
-    Factors C - sigma I without pivoting (a symmetric fill-reducing ordering,
-    diagonal pivots only), so P (C - sigma I) P^T = L D L^T with D the
-    diagonal of U. By Sylvester's law of inertia the negative entries of D
-    count the eigenvalues below sigma. A zero pivot makes SuperLU either pivot
-    off the diagonal (a row permutation other than the column one) or stop
-    on a singular factor; neither leaves an inertia to read, and both raise
-    NumericalFailureError.
+    A symmetric fill-reducing ordering with diagonal pivots only gives
+    P (C - sigma I) P^T = L D L^T, D being the diagonal of U; at sigma = 0 on
+    a positive definite C that is a Cholesky-like factor with about half the
+    fill of the default COLAMD. The shift goes onto C's stored diagonal in
+    place and comes off again from a saved copy once the factor is built, so
+    no second n x n matrix exists and C is left bitwise unchanged. A zero
+    pivot makes SuperLU either pivot off the diagonal (a row permutation
+    other than the column one) or stop on a singular factor; an indefinite
+    C - sigma I can do either, and both raise NumericalFailureError.
     """
-    shifted = (C - sigma * sparse.identity(C.shape[0], format="csc")).tocsc()
+    diagonal = C.diagonal()
+    C.setdiag(diagonal - sigma)
     try:
         lu = linalg.splu(
-            shifted,
+            C,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise NumericalFailureError(f"LDL^T of C - {sigma} I failed: {exc}") from exc
+    finally:
+        C.setdiag(diagonal)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalFailureError(
             f"LDL^T of C - {sigma} I needed off-diagonal pivots; its inertia is unknown"
         )
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return lu
 
 
-def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The `count` smallest eigenpairs of the sparse matrix C, in ascending order.
+def _count_below(C, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric sparse matrix C below sigma.
 
-    C is positive definite, so ARPACK's shift-invert mode about sigma = 0
-    returns exactly the smallest eigenvalues. Each Lanczos step is one solve
-    with a sparse LU factorization of C; the solves are counted. The start
-    vector is seeded, so the result does not change from call to call.
-    Callers ask for no more pairs than they keep: at tol = 0 ARPACK spends
-    most of its solves on any wanted eigenvalue in the continuum above 1.
+    By Sylvester's law of inertia, the negative entries of D in the LDL^T
+    factor of C - sigma I (`_factor`). Reading `lu.U` caches CSC copies of
+    both factors, so this runs on the coarsest mesh only.
+    """
+    return int(np.count_nonzero(_factor(C, sigma).U.diagonal() < 0.0))
+
+
+def _eigenpairs_near(C, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The `count` eigenpairs of the sparse matrix C nearest sigma, in ascending order.
+
+    ARPACK's shift-invert mode about sigma: each Lanczos step is one solve
+    with the LDL^T factor of C - sigma I (`_factor`); the solves are counted.
+    About sigma = 0 on a positive definite C these are the smallest
+    eigenpairs. The start vector is seeded, so the result does not change
+    from call to call. Callers ask for no more pairs than they need: at
+    tol = 0 ARPACK spends most of its solves on any wanted eigenvalue in the
+    continuum above 1.
     """
     n = C.shape[0]
-    # a symmetric fill-reducing ordering: about half the fill of the default COLAMD
-    lu = linalg.splu(C, permc_spec="MMD_AT_PLUS_A")
+    lu = _factor(C, sigma)
     solves = 0
 
     def solve(x):
@@ -285,20 +310,33 @@ def _smallest_eigenpairs(C, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
 
     inverse = linalg.LinearOperator((n, n), matvec=solve, dtype=C.dtype)
     v0 = np.random.default_rng(_SEED).standard_normal(n)
+    # about zero the wanted eigenvalues of the inverse are barely separated from
+    # the continuum's and ARPACK's default basis of 20 pays; about a nearby shift
+    # they stand far apart and a short basis converges in fewer solves
+    ncv = min(n, 4 * count + 2) if sigma else None
     try:
-        vals, vecs = linalg.eigsh(C, count, sigma=0.0, which="LM", tol=0.0, v0=v0, OPinv=inverse)
+        _, vecs = linalg.eigsh(
+            C, count, sigma=sigma, which="LM", ncv=ncv, tol=0.0, v0=v0, OPinv=inverse
+        )
     except linalg.ArpackError as exc:
         raise NumericalFailureError(
-            f"ARPACK shift-invert failed after {solves} solves: {exc}"
+            f"ARPACK shift-invert about {sigma} failed after {solves} solves: {exc}"
         ) from exc
+    # Rayleigh quotients on C itself: ARPACK's sigma + 1/theta carries the
+    # factor's rounding, which grows like eps ||C|| ~ eps / h^2 (3.5e-13 at
+    # h = 0.025), while these are off by |residual|^2 / gap, so no level
+    # depends on sigma or on the factorization
+    product = C @ vecs
+    vals = np.sum(vecs * product, axis=0) / np.sum(vecs * vecs, axis=0)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
-    resid = C @ vecs - vecs * vals
+    resid = product[:, order] - vecs * vals
     diag = {
         "iterations": solves,
         "converged": int(vals.size),
         "residual_max": float(np.max(np.linalg.norm(resid, axis=0))),
+        "shift": sigma,
     }
     return vals, vecs, diag
 
@@ -321,10 +359,17 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     filter is skipped there and the raw smallest eigenvalues are reported.
 
     With windows, the eigenvalues below 1 on the coarsest mesh are counted by
-    inertia (`diagnostics["count_below_one"]`), and every level asks ARPACK
-    for only min(count, that count) eigenpairs: the result is truncated to the
-    shortest level's list, which cannot be longer. A coarsest count of 0
-    gives the empty result with no eigensolve at all.
+    inertia (`diagnostics["count_below_one"]`), and no level keeps more than
+    wanted = min(count, that count) eigenpairs: the result is truncated to the
+    shortest level's list, which cannot be longer. The coarsest level asks
+    ARPACK for `wanted` eigenpairs about 0; each finer level asks for all
+    count_below_one about the coarser level's ground eigenvalue, which reaches
+    both halves of a split pair below it, and keeps the lowest `wanted`, or,
+    if fewer than count_below_one of them lie below 1, solves again about 0.
+    Per level, `diagnostics["levels"]` records the `shift` of the solve that
+    gave its eigenvalues, whether it was that `fallback`, and the LU solves of
+    all its solves (`iterations`). A coarsest count of 0 gives the empty
+    result with no eigensolve at all.
 
     Truncation bias is O(e^{-2 kappa (L - a)}) and is estimated in the
     diagnostics from the computed ground state; it is not removed.
@@ -362,15 +407,27 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         if lev == 0 and geometry.windows:
             below_one = _count_below(C, 1.0)
             wanted = min(count, below_one)
+        # the coarser FD level's ground eigenvalue, never the Galerkin one: the
+        # oracle shares nothing but the geometry with the spectral solver
+        sigma = level_values[-1][1][0] if lev and below_one and level_values[-1][1] else 0.0
+        fallback = False
         if wanted:
-            vals, vecs, diag = _smallest_eigenpairs(C, wanted)
+            # about sigma, all below_one: the ones nearest sigma, if all lie below 1,
+            # are the lowest below_one; fewer could miss the lower half of a split pair
+            vals, vecs, diag = _eigenpairs_near(C, below_one if sigma else wanted, sigma)
+            if sigma and np.count_nonzero(vals < 1.0) < below_one:
+                solves = diag["iterations"]
+                vals, vecs, diag = _eigenpairs_near(C, wanted, 0.0)
+                diag["iterations"] += solves
+                fallback = True
+            vals, vecs = vals[:wanted], vecs[:, :wanted]
         else:
-            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0}
+            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0, "shift": 0.0}
         if geometry.windows and vals.size:
             keep = vals < 1.0
             vals = vals[keep]
             vecs = vecs[:, keep]
-        diag.update({"h": mesh.h_nominal, "nodes": mesh.n_nodes})
+        diag.update({"fallback": fallback, "h": mesh.h_nominal, "nodes": mesh.n_nodes})
         level_values.append((mesh.h_nominal, tuple(float(v) for v in vals)))
         level_diags.append(diag)
         if vals.size:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import oracles
 from winguide import fd_oracle
@@ -17,6 +19,7 @@ from winguide.fd_oracle import (
     GridSpec,
     _assemble,
     _count_below,
+    _eigenpairs_near,
     _Mesh,
     _node_count,
     fd_eigenvalues,
@@ -402,3 +405,125 @@ def test_count_at_least_node_count_rejected():
     for count in (nodes, nodes + 1):
         with pytest.raises(ValidationError):
             fd_eigenvalues(geo, GridSpec(h=0.1, L=10.0), count=count, levels=1)
+
+
+def _unshifted_levels(geo, grid, levels, size):
+    """Per-level smallest eigenvalues from scipy's own sigma = 0 shift-invert of each level's C."""
+    out = []
+    for lev in range(levels):
+        C = _assemble(_Mesh(geo, grid, 2**lev))
+        v0 = np.random.default_rng(5).standard_normal(C.shape[0])
+        vals = np.sort(
+            scipy.sparse.linalg.eigsh(
+                C, size, sigma=0.0, which="LM", tol=0.0, v0=v0, return_eigenvectors=False
+            )
+        )
+        out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize(
+    "geo, grid, count, below_one",
+    [
+        (Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.1, L=12.0), 2, 1),
+        (Geometry(d=2.0, windows=(WindowSpec(0.0, 3.0),)), GridSpec(h=0.1, L=14.0), 2, 2),
+        # a mirrored pair with count 1 < count_below_one 2, split by less than the
+        # refinement moves it: the upper fine-mesh mode is the nearer to the shift
+        (
+            Geometry(d=2.0, windows=(WindowSpec(-8.0, 1.0), WindowSpec(8.0, 1.0))),
+            GridSpec(h=0.1, L=19.0),
+            1,
+            2,
+        ),
+    ],
+)
+def test_shifted_levels_match_unshifted_solve(geo, grid, count, below_one):
+    res = fd_eigenvalues(geo, grid, count, levels=2)
+    assert res.diagnostics["count_below_one"] == below_one
+    wanted = min(count, below_one)
+    refs = _unshifted_levels(geo, grid, 2, wanted)
+    for (_, vals), ref in zip(res.levels, refs):
+        assert len(vals) == wanted
+        assert np.max(np.abs(np.array(vals) - ref)) <= 1e-12
+    coarse, fine = res.diagnostics["levels"]
+    assert coarse["shift"] == 0.0 and not coarse["fallback"]
+    assert fine["shift"] == res.levels[0][1][0] and not fine["fallback"]
+    assert fine["converged"] == below_one
+    assert fine["residual_max"] < 1e-10
+
+
+def test_fallback_to_zero_shift_is_bitwise_the_unshifted_solve(monkeypatch):
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def continuum_when_shifted(A, k, *, sigma, **kwargs):
+        vals, vecs = real_eigsh(A, k, sigma=sigma, **kwargs)
+        if sigma:
+            # Ritz vectors of random content: their Rayleigh quotients lie far above 1
+            vecs = np.random.default_rng(3).standard_normal(vecs.shape)
+        return vals, vecs
+
+    geo = Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),))
+    grid = GridSpec(h=0.1, L=12.0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", continuum_when_shifted)
+    res = fd_eigenvalues(geo, grid, 2, levels=2)
+    monkeypatch.undo()
+
+    vals, _, diag = _eigenpairs_near(_assemble(_Mesh(geo, grid, 2)), 1, 0.0)
+    assert res.levels[1][1] == tuple(float(v) for v in vals)
+    level = res.diagnostics["levels"][1]
+    assert level["fallback"] and level["shift"] == 0.0
+    assert level["residual_max"] == diag["residual_max"]
+    # the solves of the abandoned shifted attempt are counted too
+    assert level["iterations"] > diag["iterations"]
+    assert not res.diagnostics["levels"][0]["fallback"]
+
+
+def test_shifted_level_takes_few_solves(oracle_a15_dpi):
+    # about sigma = 0 the finer level took 31 solves, about the coarser
+    # level's eigenvalue it takes 10
+    _, res = oracle_a15_dpi
+    coarse, fine = res.diagnostics["levels"]
+    assert fine["shift"] == res.levels[0][1][0]
+    assert not fine["fallback"]
+    assert fine["iterations"] <= 15
+
+
+@pytest.mark.parametrize("failure", ["singular", "pivoted"])
+def test_shifted_factor_failure_maps_to_exit_three(single_cfg, monkeypatch, capsys, failure):
+    real_splu = scipy.sparse.linalg.splu
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    fine_nodes = _node_count(geo, GridSpec(h=0.1, L=11.0), 2)
+
+    class Pivoted:
+        def __init__(self, n):
+            self.perm_c = np.arange(n)
+            self.perm_r = self.perm_c[::-1].copy()
+
+    def fail_when_fine(A, **kwargs):
+        if A.shape[0] != fine_nodes:
+            return real_splu(A, **kwargs)
+        if failure == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        return Pivoted(A.shape[0])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", fail_when_fine)
+    code = main(["oracle", single_cfg, "--h", "0.1", "--L", "11", "--count", "1", "--levels", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert ("failed" if failure == "singular" else "off-diagonal pivots") in err
+
+
+def test_factor_leaves_the_matrix_bitwise_unchanged():
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    C = _assemble(_Mesh(geo, GridSpec(h=0.1, L=11.0), 1))
+    before = C.copy()
+    assert _count_below(C, 1.0) == 1
+    # the shift is undone also when the factorization fails
+    singular = scipy.sparse.diags([1.0, 2.0, 3.0]).tocsc()
+    with pytest.raises(NumericalFailureError):
+        _count_below(singular, 2.0)
+    for got, want in ((C, before), (singular, scipy.sparse.diags([1.0, 2.0, 3.0]).tocsc())):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
