@@ -24,6 +24,12 @@ lowers them near the window tips); the solve about the shift then returns
 fewer eigenvalues below 1 than the coarsest count, and that level is solved
 again about zero. Each eigenvalue is the Rayleigh quotient of its Ritz vector
 on C, so no level depends on the shift beyond rounding.
+A mirror-symmetric geometry (the windows equal their own reflection, and
+x = 0 is a grid line) is solved on the half x >= 0 alone, twice: the even
+half has a Neumann column on x = 0 and the odd half a Dirichlet one. The full
+box's matrix is orthogonally similar to the direct sum of the two, so their
+counts add up to the full count and their eigenvalues together are the full
+box's, each half at about half the nodes and fill.
 Richardson extrapolation over a nested mesh family removes the leading mesh
 error.
 
@@ -161,7 +167,10 @@ def _subdivisions(geometry: Geometry, grid: GridSpec):
 
 
 def _node_count(geometry: Geometry, grid: GridSpec, refine: int) -> int:
-    """`_Mesh(geometry, grid, refine).n_nodes`, by arithmetic alone (no arrays)."""
+    """The full box's `_Mesh(geometry, grid, refine).n_nodes`, by arithmetic alone (no arrays).
+
+    A mirror-symmetric mesh's even and odd halves have that many nodes together.
+    """
     segments, m_up, m_dn = _subdivisions(geometry, grid)
     columns = sum(n for _, _, n in segments) * refine - 1
     if not geometry.windows:
@@ -169,6 +178,25 @@ def _node_count(geometry: Geometry, grid: GridSpec, refine: int) -> int:
     # every column has the rows off the interface; interface nodes sit strictly inside windows
     interface = sum(n * refine - 1 for _, _, n in segments[1::2])
     return columns * ((m_up + m_dn) * refine - 2) + interface
+
+
+def _half_segments(geometry: Geometry, segments):
+    """The x >= 0 half of a mirror-symmetric mesh family's segments, or None.
+
+    The mirror applies when the windows equal their own reflection exactly
+    and x = 0 is a grid line: the segment that straddles 0 has lo == -hi and
+    an even count n, and its right half (0, hi, n / 2) becomes the half's
+    first segment. `segments` are `_subdivisions`'.
+    """
+    ws = geometry.windows
+    if not ws or any(
+        w.center != -v.center or w.half_width != v.half_width for w, v in zip(ws, ws[::-1])
+    ):
+        return None
+    lo, hi, n = segments[len(ws)]
+    if lo != -hi or n % 2:
+        return None
+    return [(0.0, hi, n // 2)] + segments[len(ws) + 1 :]
 
 
 class _Mesh:
@@ -181,14 +209,25 @@ class _Mesh:
     unknown where `present[i, j]`: False on the four walls and, in the
     interface row y = 0 (j = m_dn), outside the open windows, so window edges
     are Dirichlet points of the slit.
+
+    With `parity` "even" or "odd" the mesh covers only the x >= 0 half of a
+    mirror-symmetric geometry (`_half_segments`), from the mirror line x = 0
+    to the wall at +L. In the even half the x = 0 column is present: it has
+    half a dual cell and only its right-hand x face, a Neumann line. In the
+    odd half it is absent, a Dirichlet line like the walls. The full box's
+    matrix is orthogonally similar to the direct sum of the two halves'.
     """
 
-    def __init__(self, geometry: Geometry, grid: GridSpec, refine: int):
+    def __init__(self, geometry: Geometry, grid: GridSpec, refine: int, parity: str | None = None):
         self.h_nominal = grid.h / refine
         segments, m_up, m_dn = _subdivisions(geometry, grid)
+        if parity is not None:
+            segments = _half_segments(geometry, segments)
+            if segments is None:
+                raise ValueError("no mirror half for this geometry and grid")
         m_up, m_dn = m_up * refine, m_dn * refine
         self.x = np.concatenate(
-            [[-grid.L]] + [np.linspace(lo, hi, n * refine + 1)[1:] for lo, hi, n in segments]
+            [[segments[0][0]]] + [np.linspace(lo, hi, n * refine + 1)[1:] for lo, hi, n in segments]
         )
         self.hx = np.diff(self.x)
         # exact steps, not diff of coordinates (that moves weights by an ulp); with no
@@ -196,6 +235,7 @@ class _Mesh:
         self.hy = np.repeat([geometry.d / max(m_dn, 1), math.pi / m_up], [m_dn, m_up])
         self.present = np.zeros((self.x.size, self.hy.size + 1), dtype=bool)
         self.present[1:-1, 1:-1] = True
+        self.present[0, 1:-1] = parity == "even"
         in_window = np.zeros(self.x.size, dtype=bool)
         for w in geometry.windows:
             in_window |= (self.x > w.left) & (self.x < w.right)
@@ -349,6 +389,89 @@ def _perron_check(vec: np.ndarray) -> dict:
     return {"ok": bool(worst >= -1e-6 * peak), "min_over_max": worst / peak}
 
 
+def _solve_box(geometry: Geometry, grid: GridSpec, count: int, levels: int, parity: str | None):
+    """Each level's lowest eigenvalues below 1 on the full box or on one mirror half.
+
+    Returns the coarsest count below 1 (None with no windows), a
+    (h, values, diagnostics) triple per level, and (level, value, vector) for
+    the lowest pair of the last level that has one, or None. A half's vector
+    is unfolded for `_perron_check`, which reads only its extremes: the even
+    half's x = 0 column is scaled to the full box's dual cells there, and the
+    odd half's vector is joined by its negative. Only one level's matrix and
+    factor are alive at a time. See `fd_eigenvalues` for the solve order.
+    """
+    out = []
+    ground = None
+    below_one = None
+    wanted = count
+    for lev in range(levels):
+        mesh = _Mesh(geometry, grid, 2**lev, parity)
+        C = _assemble(mesh) if wanted else None
+        if lev == 0 and geometry.windows:
+            below_one = _count_below(C, 1.0)
+            wanted = min(count, below_one)
+        # the coarser FD level's ground eigenvalue, never the Galerkin one: the
+        # oracle shares nothing but the geometry with the spectral solver
+        sigma = out[-1][1][0] if lev and below_one and out[-1][1] else 0.0
+        fallback = False
+        if wanted:
+            # about sigma, all below_one: the ones nearest sigma, if all lie below 1,
+            # are the lowest below_one; fewer could miss the lower half of a split pair
+            vals, vecs, diag = _eigenpairs_near(C, below_one if sigma else wanted, sigma)
+            if sigma and np.count_nonzero(vals < 1.0) < below_one:
+                solves = diag["iterations"]
+                vals, vecs, diag = _eigenpairs_near(C, wanted, 0.0)
+                diag["iterations"] += solves
+                fallback = True
+            vals, vecs = vals[:wanted], vecs[:, :wanted]
+        else:
+            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0, "shift": 0.0}
+        if geometry.windows and vals.size:
+            keep = vals < 1.0
+            vals = vals[keep]
+            vecs = vecs[:, keep]
+        diag.update({"fallback": fallback, "h": mesh.h_nominal, "nodes": mesh.n_nodes})
+        out.append((mesh.h_nominal, tuple(float(v) for v in vals), diag))
+        if vals.size:
+            vec = vecs[:, 0]
+            if parity == "even":
+                # the full box's dual cells on x = 0 are twice the half's
+                vec = vec.copy()
+                vec[: np.count_nonzero(mesh.present[0])] *= math.sqrt(2.0)
+            elif parity == "odd":
+                vec = np.concatenate([vec, -vec])
+            ground = (lev, out[-1][1][0], vec)
+        del C, vecs, mesh
+    return below_one, out, ground
+
+
+def _merge_level(parts: list, wanted: int) -> tuple[float, tuple[float, ...], dict]:
+    """One level of the full box from its boxes' (h, values, diagnostics) triples.
+
+    Keeps the lowest `wanted` values. Solves, converged pairs and nodes add
+    up and `residual_max` is the largest; `shift` is that of the box holding
+    the lowest value, and `fallback` is set if any box fell back. A single
+    box's triple comes back equal.
+    """
+    vals = tuple(sorted(v for _, part, _ in parts for v in part)[:wanted])
+    diags = [diag for _, _, diag in parts]
+    lowest = min(range(len(parts)), key=lambda i: parts[i][1][0] if parts[i][1] else math.inf)
+    merged = {
+        "iterations": sum(d["iterations"] for d in diags),
+        "converged": sum(d["converged"] for d in diags),
+    }
+    residuals = [d["residual_max"] for d in diags if "residual_max" in d]
+    if residuals:
+        merged["residual_max"] = max(residuals)
+    merged.update(
+        shift=diags[lowest]["shift"],
+        fallback=any(d["fallback"] for d in diags),
+        h=parts[0][0],
+        nodes=sum(d["nodes"] for d in diags),
+    )
+    return parts[0][0], vals, merged
+
+
 def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int = 3) -> OracleResult:
     """Smallest `count` eigenvalues below 1, cross-checked over a nested mesh family.
 
@@ -370,6 +493,19 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     gave its eigenvalues, whether it was that `fallback`, and the LU solves of
     all its solves (`iterations`). A coarsest count of 0 gives the empty
     result with no eigensolve at all.
+
+    When the windows equal their own reflection and x = 0 is a grid line
+    (`_half_segments`), the full box is never assembled: the even and the
+    odd half on [0, L] (`_Mesh`) are each solved as above, one after the
+    other, with their own coarsest counts (`diagnostics["mirror"]`, None when
+    the full box is solved), which add up to count_below_one, and their own
+    shifts. A half with count 0 is not assembled past the coarsest mesh. Each
+    level keeps the lowest `wanted` of the two halves' values; its
+    `iterations`, `converged` and `nodes` are sums over the halves,
+    `residual_max` their maximum, and `shift` and `fallback` those of the half
+    holding its lowest eigenvalue (`fallback` also if the other half fell
+    back). The Perron check reads the ground vector unfolded to the full box.
+    Mesh limits and the count check use the full box's node count.
 
     Truncation bias is O(e^{-2 kappa (L - a)}) and is estimated in the
     diagnostics from the computed ground state; it is not removed.
@@ -396,43 +532,18 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
                 f"{MAX_MESH_NODES}; use a larger h or fewer levels"
             )
 
-    level_values: list[tuple[float, tuple[float, ...]]] = []
-    level_diags = []
-    ground = None
-    below_one = None
-    wanted = count
-    for lev in range(levels):
-        mesh = _Mesh(geometry, grid, 2**lev)
-        C = _assemble(mesh) if wanted else None
-        if lev == 0 and geometry.windows:
-            below_one = _count_below(C, 1.0)
-            wanted = min(count, below_one)
-        # the coarser FD level's ground eigenvalue, never the Galerkin one: the
-        # oracle shares nothing but the geometry with the spectral solver
-        sigma = level_values[-1][1][0] if lev and below_one and level_values[-1][1] else 0.0
-        fallback = False
-        if wanted:
-            # about sigma, all below_one: the ones nearest sigma, if all lie below 1,
-            # are the lowest below_one; fewer could miss the lower half of a split pair
-            vals, vecs, diag = _eigenpairs_near(C, below_one if sigma else wanted, sigma)
-            if sigma and np.count_nonzero(vals < 1.0) < below_one:
-                solves = diag["iterations"]
-                vals, vecs, diag = _eigenpairs_near(C, wanted, 0.0)
-                diag["iterations"] += solves
-                fallback = True
-            vals, vecs = vals[:wanted], vecs[:, :wanted]
-        else:
-            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0, "shift": 0.0}
-        if geometry.windows and vals.size:
-            keep = vals < 1.0
-            vals = vals[keep]
-            vecs = vecs[:, keep]
-        diag.update({"fallback": fallback, "h": mesh.h_nominal, "nodes": mesh.n_nodes})
-        level_values.append((mesh.h_nominal, tuple(float(v) for v in vals)))
-        level_diags.append(diag)
-        if vals.size:
-            ground = vecs[:, 0]
-        del C, vecs, mesh
+    mirrored = _half_segments(geometry, _subdivisions(geometry, grid)[0]) is not None
+    parities = ("even", "odd") if mirrored else (None,)
+    boxes = [_solve_box(geometry, grid, count, levels, parity) for parity in parities]
+    counts = [below for below, _, _ in boxes]
+    below_one = None if counts[0] is None else sum(counts)
+    wanted = count if below_one is None else min(count, below_one)
+    merged = [_merge_level([box[lev] for _, box, _ in boxes], wanted) for lev in range(levels)]
+    level_values = [(h, vals) for h, vals, _ in merged]
+    level_diags = [diag for _, _, diag in merged]
+    # the last level with a value, and on it the lowest of the halves' ground values
+    grounds = [ground for _, _, ground in boxes if ground is not None]
+    ground = max(grounds, key=lambda g: (g[0], -g[1]))[2] if grounds else None
 
     n_common = min(len(v) for _, v in level_values)
     level_values = [(h, v[:n_common]) for h, v in level_values]
@@ -452,6 +563,7 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
 
     diagnostics = {
         "count_below_one": below_one,
+        "mirror": dict(zip(parities, counts)) if mirrored else None,
         "levels": level_diags,
         "unreliable": unreliable,
         "perron": _perron_check(ground) if ground is not None else None,

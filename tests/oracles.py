@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
 from scipy.special import eval_chebyu, jv
 
+from winguide import fd_oracle
 from winguide.assembly import sub_symbol
 from winguide.errors import NumericalFailureError, ValidationError
 from winguide.specfun import (
@@ -285,6 +287,37 @@ def rect_fd_eigenvalues(m1: int, h1: float, m2: int, h2: float, count: int):
             )
     vals.sort()
     return vals[:count]
+
+
+def reflected_full_mesh(geometry, grid, refine: int) -> SimpleNamespace:
+    """The full box's FD mesh, reflected from the oracle's even x >= 0 half mesh.
+
+    Its grid lines are the half's and their negatives, so every step equals
+    its mirror image bitwise. The oracle's own full mesh spaces each segment
+    by `linspace` from -L and misses that symmetry by rounding, which no
+    half-domain solve can reproduce; this mesh is the fair reference for one.
+    Carries what `fd_oracle._assemble` reads.
+    """
+    half = fd_oracle._Mesh(geometry, grid, refine, "even")
+    x = np.concatenate([-half.x[:0:-1], half.x])
+    present = np.concatenate([half.present[:0:-1], half.present])
+    return SimpleNamespace(
+        x=x, hx=np.diff(x), hy=half.hy, present=present, n_nodes=int(np.count_nonzero(present))
+    )
+
+
+def reflected_full_levels(geometry, grid, levels: int, count: int):
+    """Per-level lowest `count` FD eigenvalues on `reflected_full_mesh`, and the finest ground vector.
+
+    Each level is one shift-invert solve about 0 of the whole box, with
+    the oracle's own assembly and eigensolver.
+    """
+    values = []
+    for lev in range(levels):
+        C = fd_oracle._assemble(reflected_full_mesh(geometry, grid, 2**lev))
+        vals, vecs, _ = fd_oracle._eigenpairs_near(C, count, 0.0)
+        values.append(vals)
+    return values, vecs[:, 0]
 
 
 def _gl_nodes(edges, points: int):

@@ -291,6 +291,22 @@ def test_oracle_json_strict(single_cfg, capsys):
     assert payload["diagnostics"]["perron"]["ok"] is True
 
 
+def test_oracle_reports_mirror_counts(single_cfg, tmp_path, capsys):
+    # a centred window is solved as its even and odd halves, each with its own
+    # count below 1; an off-centre one as the full box
+    argv = ["--h", "0.1", "--L", "12", "--count", "2", "--levels", "1"]
+    assert main(["oracle", single_cfg, *argv]) == 0
+    diagnostics = _strict_loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostics["mirror"] == {"even": 1, "odd": 0}
+    assert diagnostics["count_below_one"] == 1
+    path = tmp_path / "offcentre.json"
+    path.write_text(json.dumps({"d": 2.0, "windows": [{"center": 0.3, "half_width": 1.0}]}))
+    assert main(["oracle", str(path), *argv]) == 0
+    diagnostics = _strict_loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostics["mirror"] is None
+    assert diagnostics["count_below_one"] == 1
+
+
 def test_oracle_grid_validation(single_cfg, capsys):
     assert main(["oracle", single_cfg, "--h", "0.2", "--L", "11"]) == 2
     assert main(["oracle", single_cfg, "--h", "0.1", "--L", "5"]) == 2

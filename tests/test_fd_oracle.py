@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from winguide import fd_oracle
@@ -324,11 +325,19 @@ def test_singular_shift_raises():
         (Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.07, L=12.0)),
         (Geometry(d=1.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 0.02))), GridSpec(h=0.1, L=15.3)),
         (Geometry(d=1.0, windows=()), GridSpec(h=0.1, L=10.0)),
+        (Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0))), GridSpec(h=0.1, L=15.0)),
     ],
 )
 def test_node_count_matches_mesh(geo, grid):
+    mirrored = fd_oracle._half_segments(geo, fd_oracle._subdivisions(geo, grid)[0]) is not None
     for refine in (1, 2, 4):
         assert _node_count(geo, grid, refine) == _Mesh(geo, grid, refine).n_nodes
+        if mirrored:
+            # the halves together, which differ by the x = 0 column alone
+            even, odd = (_Mesh(geo, grid, refine, parity) for parity in ("even", "odd"))
+            assert even.n_nodes + odd.n_nodes == _node_count(geo, grid, refine)
+            assert even.n_nodes - odd.n_nodes == np.count_nonzero(even.present[0])
+            assert not odd.present[0].any()
 
 
 @pytest.mark.parametrize(
@@ -468,7 +477,10 @@ def test_fallback_to_zero_shift_is_bitwise_the_unshifted_solve(monkeypatch):
     res = fd_eigenvalues(geo, grid, 2, levels=2)
     monkeypatch.undo()
 
-    vals, _, diag = _eigenpairs_near(_assemble(_Mesh(geo, grid, 2)), 1, 0.0)
+    # the geometry is mirror-symmetric and its one mode is even: the oracle
+    # solves the even half, and the odd half's count is 0
+    assert res.diagnostics["mirror"] == {"even": 1, "odd": 0}
+    vals, _, diag = _eigenpairs_near(_assemble(_Mesh(geo, grid, 2, "even")), 1, 0.0)
     assert res.levels[1][1] == tuple(float(v) for v in vals)
     level = res.diagnostics["levels"][1]
     assert level["fallback"] and level["shift"] == 0.0
@@ -492,7 +504,8 @@ def test_shifted_level_takes_few_solves(oracle_a15_dpi):
 def test_shifted_factor_failure_maps_to_exit_three(single_cfg, monkeypatch, capsys, failure):
     real_splu = scipy.sparse.linalg.splu
     geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
-    fine_nodes = _node_count(geo, GridSpec(h=0.1, L=11.0), 2)
+    # the mirror-symmetric geometry's fine level is factored on the even half only
+    fine_nodes = _Mesh(geo, GridSpec(h=0.1, L=11.0), 2, "even").n_nodes
 
     class Pivoted:
         def __init__(self, n):
@@ -527,3 +540,129 @@ def test_factor_leaves_the_matrix_bitwise_unchanged():
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+# geometry, grid, count and the coarsest counts below 1 of the even and the odd half
+MIRROR_CASES = {
+    "a=1.5": (
+        Geometry(d=math.pi, windows=(WindowSpec(0.0, 1.5),)), GridSpec(h=0.1, L=12.0), 2, (1, 0)
+    ),
+    "a=3,d=2": (
+        Geometry(d=2.0, windows=(WindowSpec(0.0, 3.0),)), GridSpec(h=0.1, L=14.0), 2, (1, 1)
+    ),
+    # a split pair: the even and the odd combination of the two windows' modes
+    "pair+-4": (
+        Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0))),
+        GridSpec(h=0.1, L=15.0),
+        2,
+        (1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+def test_mirror_halves_match_reflected_full_mesh(case):
+    # the oracle's own full mesh misses mirror symmetry by rounding (its x is
+    # spaced from -L), so the reference is the full box reflected from the half
+    geo, grid, count, (even, odd) = MIRROR_CASES[case]
+    res = fd_eigenvalues(geo, grid, count, levels=2)
+    assert res.diagnostics["mirror"] == {"even": even, "odd": odd}
+    assert res.diagnostics["count_below_one"] == even + odd
+    wanted = min(count, res.diagnostics["count_below_one"])
+    refs, ground = oracles.reflected_full_levels(geo, grid, 2, wanted)
+    for (_, vals), ref in zip(res.levels, refs):
+        assert len(vals) == wanted
+        assert np.max(np.abs(np.array(vals) - ref)) <= 1e-13
+    for i, ext in enumerate(res.extrapolated):
+        want = richardson_extrapolate([(h, ref[i]) for (h, _), ref in zip(res.levels, refs)])
+        assert abs(ext - want.lambda_star) <= 1e-12
+    perron = fd_oracle._perron_check(ground)
+    assert res.diagnostics["perron"]["ok"] is perron["ok"] is True
+    assert abs(res.diagnostics["perron"]["min_over_max"] - perron["min_over_max"]) <= 1e-9
+    for lev, level in enumerate(res.diagnostics["levels"]):
+        assert level["nodes"] == _node_count(geo, grid, 2**lev)
+        assert level["converged"] >= wanted
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+def test_mirror_counts_add_up_to_full_count(case):
+    geo, grid, _, _ = MIRROR_CASES[case]
+    full = _assemble(_Mesh(geo, grid, 1))
+    halves = [_assemble(_Mesh(geo, grid, 1, parity)) for parity in ("even", "odd")]
+    for sigma in (0.999, 1.0):
+        assert sum(_count_below(C, sigma) for C in halves) == _count_below(full, sigma)
+
+
+@pytest.mark.parametrize(
+    "geo, grid",
+    [
+        # unequal mirrored pair
+        (Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.2), WindowSpec(4.0, 0.8))), GridSpec(h=0.1, L=16.0)),
+        # off-centre window
+        (Geometry(d=2.0, windows=(WindowSpec(0.3, 1.0),)), GridSpec(h=0.1, L=12.0)),
+        # centred, but 2a / h = 11 steps: x = 0 is no grid line
+        (Geometry(d=math.pi, windows=(WindowSpec(0.0, 0.55),)), GridSpec(h=0.1, L=12.0)),
+        (Geometry(d=1.0, windows=()), GridSpec(h=0.1, L=10.0)),
+    ],
+)
+def test_unmirrored_geometries_solve_the_full_box(geo, grid, monkeypatch):
+    parities = []
+    real_mesh = fd_oracle._Mesh
+
+    def spy(geometry, grid, refine, parity=None):
+        parities.append(parity)
+        return real_mesh(geometry, grid, refine, parity)
+
+    monkeypatch.setattr(fd_oracle, "_Mesh", spy)
+    res = fd_eigenvalues(geo, grid, 2, levels=2)
+    monkeypatch.undo()
+    assert parities == [None, None]
+    assert res.diagnostics["mirror"] is None
+    assert len(res.eigenvalues) >= 1
+    # the coarsest level is one solve about 0 of the full box's matrix, bitwise
+    vals, _, _ = _eigenpairs_near(_assemble(_Mesh(geo, grid, 1)), len(res.eigenvalues), 0.0)
+    assert res.eigenvalues == tuple(float(v) for v in vals)
+
+
+def _mirror_length(draw, lo, hi):
+    """A length in [lo, hi], moved by one step h = 0.1 if needed to make its step count even."""
+    length = draw(st.floats(lo, hi))
+    if round(length / 0.1) % 2:
+        length += 0.1 if length + 0.1 <= hi else -0.1
+    return length
+
+
+@st.composite
+def _mirrored_geometries(draw):
+    d = draw(st.floats(0.5, math.pi))
+    if draw(st.booleans()):
+        a = 0.5 * _mirror_length(draw, 0.6, 6.0)
+        return Geometry(d=d, windows=(WindowSpec(0.0, a),))
+    a = draw(st.floats(0.3, 2.0))
+    centre = a + 0.5 * _mirror_length(draw, 0.3, 3.0)
+    return Geometry(d=d, windows=(WindowSpec(-centre, a), WindowSpec(centre, a)))
+
+
+def _galerkin_count(geo, lam):
+    m = assemble_galerkin(lam, geo, SolverSettings()).matrix
+    return int(np.count_nonzero(np.linalg.eigvalsh(m) <= 0.0))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(geo=_mirrored_geometries())
+def test_mirrored_count_matches_full_mesh_and_galerkin(geo):
+    # three inertia counts of one geometry: the two FD halves together, the FD
+    # full box, and the Galerkin M(0.95), which decreases in lambda. FD at
+    # h = 0.1 lies 5e-3 to 8e-3 above the Galerkin value and the box raises it
+    # further, so a Galerkin root in the guard band [0.92, 0.955] may count on
+    # one side only; there the Galerkin comparison is left out
+    grid = GridSpec(h=0.1, L=geo.windows[-1].right + 10.0)
+    assert fd_oracle._half_segments(geo, fd_oracle._subdivisions(geo, grid)[0]) is not None
+    full = _assemble(_Mesh(geo, grid, 1))
+    halves = [_assemble(_Mesh(geo, grid, 1, parity)) for parity in ("even", "odd")]
+    counts = {}
+    for sigma in (0.95, 1.0):
+        counts[sigma] = sum(_count_below(C, sigma) for C in halves)
+        assert counts[sigma] == _count_below(full, sigma)
+    if _galerkin_count(geo, 0.92) == _galerkin_count(geo, 0.955):
+        assert counts[0.95] == _galerkin_count(geo, 0.95)
