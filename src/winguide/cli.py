@@ -27,6 +27,7 @@ from .experiments import (
     verify_report,
     write_sweep_csv,
 )
+from .fd_oracle import GridSpec, fd_eigenvalues
 from .geometry import parse_problem
 from .waveguide import compute_modes, solve_U
 
@@ -140,10 +141,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    # imported here: scipy.sparse.linalg, which only the oracle needs, would add
-    # to the start-up of every other command
-    from .fd_oracle import GridSpec, fd_eigenvalues
-
     geometry, _ = parse_problem(_load_config(args.config))
     grid = GridSpec(h=args.h, L=args.L)
     result = fd_eigenvalues(geometry, grid, args.count, levels=args.levels)

@@ -2,34 +2,39 @@
 
 Independent cross-check for the Galerkin solver: the two coupled strips are
 truncated at x1 = +-L with Dirichlet walls and discretized by a symmetric
-finite-volume scheme on a tensor grid, giving a sparse positive definite
-matrix. One boolean mask on that grid says which nodes are unknowns: all but
-the walls and, on the interface row, all but the nodes outside the windows.
-Each face between neighbouring grid nodes weighs (dual width across it) /
-(step along it), which gives a stiffness entry between two unknowns and a
+finite-volume scheme on a tensor grid, giving a positive definite matrix C.
+One boolean mask on that grid says which nodes are unknowns: all but the
+walls and, on the interface row, all but the nodes outside the windows. Each
+face between neighbouring grid nodes weighs (dual width across it) / (step
+along it), which gives a stiffness entry between two unknowns and a
 Dirichlet closure next to an absent node.
 
-The number of eigenvalues below the threshold 1 is counted once, on the
-coarsest mesh, by Sylvester's law of inertia (the negative pivots of an
-unpivoted sparse LDL^T of C - I); no level can keep more. That many smallest
-eigenvalues then come from ARPACK in shift-invert mode on the same kind of
-LDL^T factorization, started from a seeded vector so that repeated runs agree
-bitwise (Ericsson & Ruhe, Math. Comp. 35, 1980). The coarsest mesh is solved
-about zero. Each finer mesh is solved about the coarser mesh's ground
-eigenvalue, a few 1e-3 above its own, which takes about a third of the
-solves; the shift comes from the FD family alone, never from the Galerkin
-solver. A mode just under 1 on the coarsest mesh may lie above 1 on a finer
-one (refinement raises the scheme's eigenvalues where the field is smooth and
-lowers them near the window tips); the solve about the shift then returns
-fewer eigenvalues below 1 than the coarsest count, and that level is solved
-again about zero. Each eigenvalue is the Rayleigh quotient of its Ritz vector
-on C, so no level depends on the shift beyond rounding.
+C is never assembled. Scaled by the dual cells it is the restriction of a
+Kronecker sum Tx (+) Ty of two tridiagonal second differences to the
+unknowns, and the only unknowns it leaves out of the full tensor grid are
+the interface row's nodes outside the windows. So each strip between the
+interface and its wall is a full rectangle of unknowns, diagonalized in
+closed form: along x by one dense `eigh` of Tx per mesh, across by discrete
+sine modes. Eliminating both strips leaves a Schur complement S(lambda) on
+the interface's window nodes, a few dozen; this is the capacitance-matrix
+idea of Buzbee, Dorr, George & Golub (SIAM J. Numer. Anal. 8, 1971). By
+Haynsworth's inertia additivity, the number of eigenvalues of C below sigma
+is the number of strip eigenvalues below sigma plus the number of negative
+eigenvalues of S(sigma). That count below 1 is taken once, on the coarsest
+mesh; no level keeps more. Each eigenvalue is the root of one eigenvalue of
+S, which decreases between the strip eigenvalues (the poles of S): Newton's
+method from sigma = 1, kept inside a bracket that the counts give, after
+bisection on the count has moved every pole out of that bracket. No
+evaluation lands on a pole. Each eigenvector is rebuilt from its window
+values, and its residual ||C v - lambda v|| is taken with C's five-point
+stencil.
 A mirror-symmetric geometry (the windows equal their own reflection, and
 x = 0 is a grid line) is solved on the half x >= 0 alone, twice: the even
 half has a Neumann column on x = 0 and the odd half a Dirichlet one. The full
 box's matrix is orthogonally similar to the direct sum of the two, so their
 counts add up to the full count and their eigenvalues together are the full
-box's, each half at about half the nodes and fill.
+box's, each half with half the columns of Tx and an eighth of the cost of
+its `eigh`.
 Richardson extrapolation over a nested mesh family removes the leading mesh
 error.
 
@@ -44,11 +49,13 @@ Error budget, documented rather than hidden:
   order into (1, 2); `richardson_extrapolate` therefore fits the order from
   three levels instead of assuming 2.
 
-The oracle deliberately knows nothing about Fourier transforms or
-Dirichlet-to-Neumann maps, so agreement with the spectral solver is a real
-cross-validation, not a shared-code tautology. It resolves absolute
-eigenvalue locations only; exponentially small two-window splittings are out
-of reach of an algebraic-accuracy method and are not attempted.
+The oracle shares nothing with the Galerkin solver but the geometry: its
+sine modes and Schur complement are those of the discrete finite-volume C
+itself, not the continuous strips' Fourier transforms or Dirichlet-to-Neumann
+maps, so agreement with the spectral solver is a real cross-validation, not
+a shared-code tautology. It resolves absolute eigenvalue locations only;
+exponentially small two-window splittings are out of reach of an
+algebraic-accuracy method and are not attempted.
 """
 
 from __future__ import annotations
@@ -58,17 +65,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# at module level, so that importing this module pays for scipy.sparse.linalg;
-# the CLI imports it only for the oracle command
-from scipy import sparse
-from scipy.sparse import linalg
-
 from .errors import InsufficientDataError, NumericalFailureError, ValidationError
 from .geometry import Geometry
 
-_SEED = 97
+# Newton's method stops on a step this small, bisection on a bracket this narrow
+_TOL = 1e-14
+# evaluations of S per eigenvalue, bisection and Newton together
+_MAX_EVALUATIONS = 100
 # about six times criterion 1's finest mesh (a = 1, L = 20, h = 0.025: 325k nodes)
 MAX_MESH_NODES = 2_000_000
+# columns of the largest dense Tx one level decomposes: numpy.linalg.eigh takes
+# about 13 s and 0.7 GB on one core at 4096 (criterion 1's finest half: 800)
+MAX_TX_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
@@ -207,8 +215,8 @@ class _Mesh:
     d / m_dn, then m_up of pi / m_up (with no windows only the latter, and the
     mesh covers the single strip (0, pi): validation mode). Node (i, j) is an
     unknown where `present[i, j]`: False on the four walls and, in the
-    interface row y = 0 (j = m_dn), outside the open windows, so window edges
-    are Dirichlet points of the slit.
+    interface row y = 0 (j = m_dn, `interface`), outside the open windows, so
+    window edges are Dirichlet points of the slit.
 
     With `parity` "even" or "odd" the mesh covers only the x >= 0 half of a
     mirror-symmetric geometry (`_half_segments`), from the mirror line x = 0
@@ -240,145 +248,269 @@ class _Mesh:
         for w in geometry.windows:
             in_window |= (self.x > w.left) & (self.x < w.right)
         self.present[:, m_dn] &= in_window  # with no windows row 0 is a wall anyway
+        self.interface = m_dn
         self.n_nodes = int(np.count_nonzero(self.present))
 
 
-def _assemble(mesh: _Mesh):
-    """Symmetric finite-volume matrix as a sparse CSC matrix.
+def _second_difference(steps: np.ndarray, neumann: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of C: the diagonal and off-diagonal of its scaled second difference.
 
-    Present nodes are numbered in C order of `mesh.present`: column by column
-    from x = -L, bottom to top within a column. The face between neighbours
-    along either axis has the weight (dual width across it) / (step along it),
-    a grid line's dual width being the mean of its two adjacent steps (the
-    interface row's is (h_down + h_up) / 2). A face with both ends present is
-    a stiffness entry; each present end adds the weight to its own diagonal,
-    which is the Dirichlet closure (walls, slit, window tips) where the other
-    end is absent. With the dual-cell areas B this returns
-    C = B^{-1/2} A B^{-1/2}, whose eigenvalues approximate the Dirichlet
-    Laplacian's.
+    The axis has grid lines 0..n spaced by `steps`. The unknown lines are
+    1..n-1, and with `neumann` also line 0. Line i has the dual width
+    w_i = (h_{i-1} + h_i) / 2, with no step outside the axis (so line 0 has
+    half a cell), the diagonal entry (1/h_{i-1} + 1/h_i) / w_i without the
+    missing step's term, and the entry -(1/h_i) / sqrt(w_i w_{i+1}) next to
+    line i + 1. A face to an absent line stays on the diagonal: the Dirichlet
+    closure.
     """
-    present, n = mesh.present, mesh.n_nodes
-    index = np.full(present.shape, -1)
-    index[present] = np.arange(n)
-    wx = 0.5 * (np.r_[0.0, mesh.hx] + np.r_[mesh.hx, 0.0])
-    wy = 0.5 * (np.r_[0.0, mesh.hy] + np.r_[mesh.hy, 0.0])
-    diag = np.zeros(present.shape)
-    faces = []
-    # x faces, then y faces: a node is the lower end of at most one face per axis,
-    # so slice sums need no np.add.at; sums on absent nodes are never read
-    for weight, lo, hi in (
-        (wy[None, :] / mesh.hx[:, None], np.s_[:-1, :], np.s_[1:, :]),
-        (wx[:, None] / mesh.hy[None, :], np.s_[:, :-1], np.s_[:, 1:]),
-    ):
-        diag[lo] += weight
-        diag[hi] += weight
-        both = present[lo] & present[hi]
-        faces.append((index[lo][both], index[hi][both], weight[both]))
-    p, q, c = map(np.concatenate, zip(*faces))
-
-    bcell = np.outer(wx, wy)[present]
-    c_scaled = c / np.sqrt(bcell[p] * bcell[q])
-    nodes = np.arange(n)
-    rows = np.concatenate([nodes, p, q])
-    cols = np.concatenate([nodes, q, p])
-    entries = np.concatenate([diag[present] / bcell, -c_scaled, -c_scaled])
-    return sparse.csc_matrix((entries, (rows, cols)), shape=(n, n))
+    inverse = 1.0 / steps
+    width = 0.5 * (np.r_[0.0, steps] + np.r_[steps, 0.0])
+    diagonal = (np.r_[0.0, inverse] + np.r_[inverse, 0.0]) / width
+    off = -inverse / np.sqrt(width[:-1] * width[1:])
+    first = 0 if neumann else 1
+    return diagonal[first:-1], off[first:-1]
 
 
-def _factor(C, sigma: float):
-    """Unpivoted sparse LDL^T of C - sigma I, for the symmetric sparse matrix C.
-
-    A symmetric fill-reducing ordering with diagonal pivots only gives
-    P (C - sigma I) P^T = L D L^T, D being the diagonal of U; at sigma = 0 on
-    a positive definite C that is a Cholesky-like factor with about half the
-    fill of the default COLAMD. The shift goes onto C's stored diagonal in
-    place and comes off again from a saved copy once the factor is built, so
-    no second n x n matrix exists and C is left bitwise unchanged. A zero
-    pivot makes SuperLU either pivot off the diagonal (a row permutation
-    other than the column one) or stop on a singular factor; an indefinite
-    C - sigma I can do either, and both raise NumericalFailureError.
-    """
-    diagonal = C.diagonal()
-    C.setdiag(diagonal - sigma)
+def _eigh(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        lu = linalg.splu(
-            C,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise NumericalFailureError(f"LDL^T of C - {sigma} I failed: {exc}") from exc
-    finally:
-        C.setdiag(diagonal)
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NumericalFailureError(
-            f"LDL^T of C - {sigma} I needed off-diagonal pivots; its inertia is unknown"
-        )
-    return lu
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition of {what} failed: {exc}") from exc
 
 
-def _count_below(C, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric sparse matrix C below sigma.
+@dataclass(frozen=True)
+class _Strip:
+    """One strip's rows of unknowns, ordered outward from the interface row, in closed form.
 
-    By Sylvester's law of inertia, the negative entries of D in the LDL^T
-    factor of C - sigma I (`_factor`). Reading `lu.U` caches CSC copies of
-    both factors, so this runs on the coarsest mesh only.
+    Across the strip, m steps of h give the Dirichlet second difference on
+    m - 1 rows, with eigenvalues mu_q = (4/h^2) sin^2(q pi / 2m) and
+    orthonormal sine modes `modes[k - 1, q - 1]` = sqrt(2/m) sin(q k pi / m),
+    q, k = 1..m-1 (a symmetric matrix). `eig[p, q - 1]` = Lambda_p + mu_q are
+    the strip's eigenvalues, Lambda_p Tx's. `coupling` is C's entry between an
+    interface node and the strip node next to it, and `weight[q - 1]` its
+    square times the q-th mode's value there.
     """
-    return int(np.count_nonzero(_factor(C, sigma).U.diagonal() < 0.0))
+
+    rows: np.ndarray
+    modes: np.ndarray
+    eig: np.ndarray
+    coupling: float
+    weight: np.ndarray
 
 
-def _eigenpairs_near(C, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The `count` eigenpairs of the sparse matrix C nearest sigma, in ascending order.
+class _Reduced:
+    """One mesh's C, reduced to a Schur complement on its interface window nodes.
 
-    ARPACK's shift-invert mode about sigma: each Lanczos step is one solve
-    with the LDL^T factor of C - sigma I (`_factor`); the solves are counted.
-    About sigma = 0 on a positive definite C these are the smallest
-    eigenpairs. The start vector is seeded, so the result does not change
-    from call to call. Callers ask for no more pairs than they need: at
-    tol = 0 ARPACK spends most of its solves on any wanted eigenvalue in the
-    continuum above 1.
+    C is the restriction of the Kronecker sum Tx (+) Ty to the present nodes
+    (`_second_difference` on each axis). Every present column is present on
+    every row but the interface row, which keeps only the window nodes W, so
+    the strips on either side are full rectangles of unknowns. One `eigh` of
+    Tx, Tx = Q diag(Lambda) Q^T, and the strips' sine modes diagonalize both
+    strips; eliminating them leaves, on W,
+
+        S(lambda) = Tx[W, W] + (t0 - lambda) I - Q_W diag(D(lambda)) Q_W^T,
+        D_p(lambda) = sum over strips and q of weight_q / (Lambda_p + mu_q - lambda),
+
+    with t0 the interface row's Ty diagonal and Q_W the rows W of Q. The
+    strips' eigenvalues are the poles of S; between two poles S decreases in
+    the Loewner order, and so does each of its eigenvalues. By Haynsworth's
+    inertia additivity the number of eigenvalues of C below sigma is the
+    number of strip eigenvalues below sigma plus the number of negative
+    eigenvalues of S(sigma) (`count`). `evaluations` counts the evaluations
+    of S.
     """
-    n = C.shape[0]
-    lu = _factor(C, sigma)
-    solves = 0
 
-    def solve(x):
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
+    def __init__(self, mesh: _Mesh):
+        self.present = mesh.present
+        self.interface = mesh.interface
+        self.columns = np.flatnonzero(mesh.present.any(axis=1))
+        self.tx = _second_difference(mesh.hx, bool(mesh.present[0].any()))
+        self.ty = _second_difference(mesh.hy, False)
+        diagonal, off = self.tx
+        tx = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        lam_x, self.q = _eigh(tx, "Tx")
+        self.window = np.flatnonzero(mesh.present[self.columns, mesh.interface])
+        self.qw = self.q[self.window]
+        r, ny = mesh.interface, mesh.hy.size
+        # the upper strip, then the lower one; the Ty entries of row j sit at j - 1.
+        # With no windows (r = 0) the upper strip is the whole box and has no coupling.
+        self.strips = []
+        for rows, h, face in (
+            (np.arange(r + 1, ny), mesh.hy[-1], r - 1),
+            (np.arange(r - 1, 0, -1), mesh.hy[0], r - 2),
+        ):
+            m = rows.size + 1
+            if m < 2:
+                continue
+            q = np.arange(1, m)
+            mu = (4.0 / h**2) * np.sin(0.5 * math.pi * q / m) ** 2
+            modes = math.sqrt(2.0 / m) * np.sin(np.outer(q, q) * (math.pi / m))
+            coupling = float(self.ty[1][face]) if r else 0.0
+            self.strips.append(
+                _Strip(rows, modes, lam_x[:, None] + mu, coupling, coupling**2 * modes[0] ** 2)
+            )
+        # strip eigenvalues no greater than 1: every point S is evaluated at lies at or below 1
+        self.poles = np.sort(np.concatenate([s.eig[s.eig <= 1.0] for s in self.strips]))
+        t0 = self.ty[0][r - 1] if r else 0.0
+        self.s0 = tx[np.ix_(self.window, self.window)] + t0 * np.eye(self.window.size)
+        self.evaluations = 0
 
-    inverse = linalg.LinearOperator((n, n), matvec=solve, dtype=C.dtype)
-    v0 = np.random.default_rng(_SEED).standard_normal(n)
-    # about zero the wanted eigenvalues of the inverse are barely separated from
-    # the continuum's and ARPACK's default basis of 20 pays; about a nearby shift
-    # they stand far apart and a short basis converges in fewer solves
-    ncv = min(n, 4 * count + 2) if sigma else None
-    try:
-        _, vecs = linalg.eigsh(
-            C, count, sigma=sigma, which="LM", ncv=ncv, tol=0.0, v0=v0, OPinv=inverse
-        )
-    except linalg.ArpackError as exc:
+    def _schur(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """S(sigma) and D'(sigma); sigma must not be a pole."""
+        self.evaluations += 1
+        d = np.zeros(self.q.shape[0])
+        slope = np.zeros(self.q.shape[0])
+        for strip in self.strips:
+            inverse = 1.0 / (strip.eig - sigma)
+            d += inverse @ strip.weight
+            slope += (inverse * inverse) @ strip.weight
+        s = self.s0 - (self.qw * d) @ self.qw.T
+        s[np.diag_indices_from(s)] -= sigma
+        return s, slope
+
+    def _off_pole(self, sigma: float) -> float:
+        """sigma, or the next float below it while it is a pole."""
+        while np.any(self.poles == sigma):
+            sigma = float(np.nextafter(sigma, -math.inf))
+        return sigma
+
+    def count(self, sigma: float) -> int:
+        """Number of eigenvalues of C below sigma <= 1, by inertia additivity."""
+        sigma = self._off_pole(sigma)
+        below = int(np.searchsorted(self.poles, sigma))
+        if not self.window.size:
+            return below
+        s, _ = self._schur(sigma)
+        try:
+            values = np.linalg.eigvalsh(s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigenvalues of S({sigma}) failed: {exc}") from exc
+        return below + int(np.count_nonzero(values < 0.0))
+
+    def _strip_pairs(self, n: int) -> tuple[list[float], list[np.ndarray]]:
+        """The n lowest strip eigenpairs: all of C's when no interface node is present."""
+        eig = np.concatenate([s.eig.ravel() for s in self.strips])
+        values, vectors = [], []
+        for flat in np.argsort(eig, kind="stable")[:n]:
+            for strip in self.strips:
+                if flat < strip.eig.size:
+                    break
+                flat -= strip.eig.size
+            p, q = np.unravel_index(flat, strip.eig.shape)
+            u = np.zeros(self.present.shape)
+            u[np.ix_(self.columns, strip.rows)] = np.outer(self.q[:, p], strip.modes[:, q])
+            values.append(float(strip.eig[p, q]))
+            vectors.append(u)
+        return values, vectors
+
+    def _root(self, k: int, points: dict) -> tuple[float, np.ndarray]:
+        """C's k-th eigenvalue and its eigenvector's window values.
+
+        `points` maps each sigma evaluated so far to the count below it, and
+        gains the points evaluated here. The bracket lo < lambda_k <= hi comes
+        from the counts; bisection on the count shrinks it until no strip
+        eigenvalue lies inside. There, with `a` strip eigenvalues below, the
+        k-th eigenvalue of C is the root of S's (k - a)-th eigenvalue, which
+        decreases; Newton's method runs from hi and is kept inside the
+        bracket, falling back to bisection. From the right of the root of a
+        decreasing concave function, such as S's lowest eigenvalue below the
+        strips' spectrum, Newton's iterates descend to the root.
+        """
+        lo = max(s for s, c in points.items() if c < k)
+        hi = min((s for s, c in points.items() if c >= k), default=lo)
+        if not lo < hi:
+            raise NumericalFailureError(
+                "root count disagrees with the count below 1: "
+                f"the counts give eigenvalue {k} no bracket"
+            )
+        budget = _MAX_EVALUATIONS
+        while np.any((self.poles > lo) & (self.poles < hi)):
+            if hi - lo <= _TOL or not budget:
+                raise NumericalFailureError(
+                    f"eigenvalue {k} of C could not be separated from a strip eigenvalue near {hi}"
+                )
+            mid = self._off_pole(0.5 * (lo + hi))
+            points[mid] = self.count(mid)
+            lo, hi = (mid, hi) if points[mid] < k else (lo, mid)
+            budget -= 1
+        a = int(np.searchsorted(self.poles, hi))
+        j = k - a - 1
+        if not 0 <= j < self.window.size:
+            raise NumericalFailureError(f"eigenvalue {k} of C has no eigenvalue of S to follow")
+        sigma, step = self._off_pole(hi), math.inf
+        for _ in range(budget):
+            s, slope_d = self._schur(sigma)
+            values, vectors = _eigh(s, f"S({sigma})")
+            points.setdefault(sigma, a + int(np.count_nonzero(values < 0.0)))
+            nu, x = values[j], vectors[:, j]
+            if step == math.inf and nu >= 0.0:
+                raise NumericalFailureError(
+                    f"root count disagrees with the count below {hi}: "
+                    f"S({hi}) has no {j + 1}-th negative eigenvalue"
+                )
+            if nu == 0.0:
+                return sigma, x
+            lo, hi = (sigma, hi) if nu > 0.0 else (lo, sigma)
+            y = x @ self.qw
+            new = sigma + nu / (1.0 + y @ (slope_d * y))
+            last, step = step, abs(new - sigma)
+            # quadratic convergence until rounding takes over: a step that no
+            # longer halves is noise
+            if step <= _TOL or (step <= 1e-10 and step > 0.5 * last):
+                return min(max(new, lo), hi), x
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            sigma = new
         raise NumericalFailureError(
-            f"ARPACK shift-invert about {sigma} failed after {solves} solves: {exc}"
-        ) from exc
-    # Rayleigh quotients on C itself: ARPACK's sigma + 1/theta carries the
-    # factor's rounding, which grows like eps ||C|| ~ eps / h^2 (3.5e-13 at
-    # h = 0.025), while these are off by |residual|^2 / gap, so no level
-    # depends on sigma or on the factorization
-    product = C @ vecs
-    vals = np.sum(vecs * product, axis=0) / np.sum(vecs * vecs, axis=0)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    resid = product[:, order] - vecs * vals
-    diag = {
-        "iterations": solves,
-        "converged": int(vals.size),
-        "residual_max": float(np.max(np.linalg.norm(resid, axis=0))),
-        "shift": sigma,
-    }
-    return vals, vecs, diag
+            f"Newton's method for eigenvalue {k} of C did not converge "
+            f"in {_MAX_EVALUATIONS} evaluations"
+        )
+
+    def _vector(self, lam: float, x: np.ndarray) -> np.ndarray:
+        """The eigenvector with window values x at eigenvalue lam, as a grid array.
+
+        The array is zero at absent nodes. Each strip's block A solves
+        (A - lam) u = -coupling x on the row next to the interface:
+        u = -coupling Q G modes, G[p, q] = (Q_W^T x)_p modes[0, q] / (Lambda_p + mu_q - lam).
+        """
+        u = np.zeros(self.present.shape)
+        u[self.columns[self.window], self.interface] = x
+        y = x @ self.qw
+        for strip in self.strips:
+            g = np.outer(y, -strip.coupling * strip.modes[0]) / (strip.eig - lam)
+            u[np.ix_(self.columns, strip.rows)] = self.q @ (g @ strip.modes)
+        return u
+
+    def residual(self, lam: float, u: np.ndarray) -> float:
+        """||C v - lam v|| / ||v|| for the grid array u, by C's five-point stencil."""
+        v = u[self.columns, 1:-1]
+        (tx_d, tx_o), (ty_d, ty_o) = self.tx, self.ty
+        cv = (tx_d[:, None] + ty_d - lam) * v
+        cv[:-1] += tx_o[:, None] * v[1:]
+        cv[1:] += tx_o[:, None] * v[:-1]
+        cv[:, :-1] += ty_o * v[:, 1:]
+        cv[:, 1:] += ty_o * v[:, :-1]
+        mask = self.present[self.columns, 1:-1]
+        return float(np.linalg.norm(cv[mask]) / np.linalg.norm(v[mask]))
+
+    def lowest(self, n: int, below: int | None = None) -> tuple[list[float], list[np.ndarray]]:
+        """C's n lowest eigenvalues and their eigenvectors as grid arrays.
+
+        With windows, `below` is `count(1.0)` and n is at most that; with no
+        interface node C is the strips' direct sum and its eigenpairs are the
+        strips' own.
+        """
+        if not self.window.size:
+            return self._strip_pairs(n)
+        points = {0.0: 0, 1.0: below}
+        values, vectors = [], []
+        for k in range(1, n + 1):
+            lam, x = self._root(k, points)
+            values.append(lam)
+            vectors.append(self._vector(lam, x))
+        if np.any(np.diff(values) < 0.0) or (values and values[-1] >= 1.0):
+            raise NumericalFailureError(f"root count disagrees with the count below 1: {values}")
+        return values, vectors
 
 
 def _perron_check(vec: np.ndarray) -> dict:
@@ -397,8 +529,8 @@ def _solve_box(geometry: Geometry, grid: GridSpec, count: int, levels: int, pari
     the lowest pair of the last level that has one, or None. A half's vector
     is unfolded for `_perron_check`, which reads only its extremes: the even
     half's x = 0 column is scaled to the full box's dual cells there, and the
-    odd half's vector is joined by its negative. Only one level's matrix and
-    factor are alive at a time. See `fd_eigenvalues` for the solve order.
+    odd half's vector is joined by its negative. Only one level's reduction is
+    alive at a time. See `fd_eigenvalues` for the solve order.
     """
     out = []
     ground = None
@@ -406,56 +538,45 @@ def _solve_box(geometry: Geometry, grid: GridSpec, count: int, levels: int, pari
     wanted = count
     for lev in range(levels):
         mesh = _Mesh(geometry, grid, 2**lev, parity)
-        C = _assemble(mesh) if wanted else None
-        if lev == 0 and geometry.windows:
-            below_one = _count_below(C, 1.0)
-            wanted = min(count, below_one)
-        # the coarser FD level's ground eigenvalue, never the Galerkin one: the
-        # oracle shares nothing but the geometry with the spectral solver
-        sigma = out[-1][1][0] if lev and below_one and out[-1][1] else 0.0
-        fallback = False
+        diag = {"iterations": 0, "converged": 0}
+        vals = []
         if wanted:
-            # about sigma, all below_one: the ones nearest sigma, if all lie below 1,
-            # are the lowest below_one; fewer could miss the lower half of a split pair
-            vals, vecs, diag = _eigenpairs_near(C, below_one if sigma else wanted, sigma)
-            if sigma and np.count_nonzero(vals < 1.0) < below_one:
-                solves = diag["iterations"]
-                vals, vecs, diag = _eigenpairs_near(C, wanted, 0.0)
-                diag["iterations"] += solves
-                fallback = True
-            vals, vecs = vals[:wanted], vecs[:, :wanted]
-        else:
-            vals, vecs, diag = np.empty(0), None, {"iterations": 0, "converged": 0, "shift": 0.0}
-        if geometry.windows and vals.size:
-            keep = vals < 1.0
-            vals = vals[keep]
-            vecs = vecs[:, keep]
-        diag.update({"fallback": fallback, "h": mesh.h_nominal, "nodes": mesh.n_nodes})
+            level = _Reduced(mesh)
+            below = None
+            n = wanted
+            if geometry.windows:
+                below = level.count(1.0)
+                if lev == 0:
+                    below_one = below
+                    wanted = min(count, below)
+                n = min(wanted, below)
+            vals, vecs = level.lowest(n, below)
+            diag = {"iterations": level.evaluations, "converged": len(vals)}
+            if vals:
+                diag["residual_max"] = max(level.residual(v, u) for v, u in zip(vals, vecs))
+                u = vecs[0]
+                if parity == "even":
+                    # the full box's dual cells on x = 0 are twice the half's
+                    u[0] *= math.sqrt(2.0)
+                vec = u[mesh.present]
+                if parity == "odd":
+                    vec = np.concatenate([vec, -vec])
+                ground = (lev, vals[0], vec)
+            del level, vecs
+        diag.update(h=mesh.h_nominal, nodes=mesh.n_nodes)
         out.append((mesh.h_nominal, tuple(float(v) for v in vals), diag))
-        if vals.size:
-            vec = vecs[:, 0]
-            if parity == "even":
-                # the full box's dual cells on x = 0 are twice the half's
-                vec = vec.copy()
-                vec[: np.count_nonzero(mesh.present[0])] *= math.sqrt(2.0)
-            elif parity == "odd":
-                vec = np.concatenate([vec, -vec])
-            ground = (lev, out[-1][1][0], vec)
-        del C, vecs, mesh
     return below_one, out, ground
 
 
 def _merge_level(parts: list, wanted: int) -> tuple[float, tuple[float, ...], dict]:
     """One level of the full box from its boxes' (h, values, diagnostics) triples.
 
-    Keeps the lowest `wanted` values. Solves, converged pairs and nodes add
-    up and `residual_max` is the largest; `shift` is that of the box holding
-    the lowest value, and `fallback` is set if any box fell back. A single
-    box's triple comes back equal.
+    Keeps the lowest `wanted` values. Evaluations of S, converged pairs and
+    nodes add up and `residual_max` is the largest. A single box's triple
+    comes back equal.
     """
     vals = tuple(sorted(v for _, part, _ in parts for v in part)[:wanted])
     diags = [diag for _, _, diag in parts]
-    lowest = min(range(len(parts)), key=lambda i: parts[i][1][0] if parts[i][1] else math.inf)
     merged = {
         "iterations": sum(d["iterations"] for d in diags),
         "converged": sum(d["converged"] for d in diags),
@@ -463,12 +584,7 @@ def _merge_level(parts: list, wanted: int) -> tuple[float, tuple[float, ...], di
     residuals = [d["residual_max"] for d in diags if "residual_max" in d]
     if residuals:
         merged["residual_max"] = max(residuals)
-    merged.update(
-        shift=diags[lowest]["shift"],
-        fallback=any(d["fallback"] for d in diags),
-        h=parts[0][0],
-        nodes=sum(d["nodes"] for d in diags),
-    )
+    merged.update(h=parts[0][0], nodes=sum(d["nodes"] for d in diags))
     return parts[0][0], vals, merged
 
 
@@ -484,28 +600,29 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     With windows, the eigenvalues below 1 on the coarsest mesh are counted by
     inertia (`diagnostics["count_below_one"]`), and no level keeps more than
     wanted = min(count, that count) eigenpairs: the result is truncated to the
-    shortest level's list, which cannot be longer. The coarsest level asks
-    ARPACK for `wanted` eigenpairs about 0; each finer level asks for all
-    count_below_one about the coarser level's ground eigenvalue, which reaches
-    both halves of a split pair below it, and keeps the lowest `wanted`, or,
-    if fewer than count_below_one of them lie below 1, solves again about 0.
-    Per level, `diagnostics["levels"]` records the `shift` of the solve that
-    gave its eigenvalues, whether it was that `fallback`, and the LU solves of
-    all its solves (`iterations`). A coarsest count of 0 gives the empty
-    result with no eigensolve at all.
+    shortest level's list, which cannot be longer. Each level counts its own
+    eigenvalues below 1 again and solves for the lowest `wanted` of them (see
+    `_Reduced`), so a mode that refinement lifts above 1 drops out of that
+    level. Per level, `diagnostics["levels"]` records the evaluations of the
+    Schur complement S, counts and Newton steps together (`iterations`), the
+    eigenpairs found (`converged`), the largest ||C v - lambda v|| / ||v||
+    over them (`residual_max`, absent when there are none), the nominal `h`
+    and the full box's `nodes`. A coarsest count of 0 gives the empty result
+    with no finer mesh reduced at all. An eigendecomposition that fails,
+    Newton's method or bisection that reaches its cap, or counts that do not
+    bracket the roots raise NumericalFailureError.
 
     When the windows equal their own reflection and x = 0 is a grid line
-    (`_half_segments`), the full box is never assembled: the even and the
-    odd half on [0, L] (`_Mesh`) are each solved as above, one after the
-    other, with their own coarsest counts (`diagnostics["mirror"]`, None when
-    the full box is solved), which add up to count_below_one, and their own
-    shifts. A half with count 0 is not assembled past the coarsest mesh. Each
-    level keeps the lowest `wanted` of the two halves' values; its
-    `iterations`, `converged` and `nodes` are sums over the halves,
-    `residual_max` their maximum, and `shift` and `fallback` those of the half
-    holding its lowest eigenvalue (`fallback` also if the other half fell
-    back). The Perron check reads the ground vector unfolded to the full box.
-    Mesh limits and the count check use the full box's node count.
+    (`_half_segments`), the full box is never reduced: the even and the odd
+    half on [0, L] (`_Mesh`) are each solved as above, one after the other,
+    with their own coarsest counts (`diagnostics["mirror"]`, None when the
+    full box is solved), which add up to count_below_one. A half with count
+    0 is not reduced past the coarsest mesh. Each level keeps the lowest
+    `wanted` of the two halves' values; its `iterations`, `converged` and
+    `nodes` are sums over the halves and `residual_max` their maximum. The
+    Perron check reads the ground vector unfolded to the full box. The node
+    limit and the count check use the full box's node count, the column
+    limit (`MAX_TX_COLUMNS`, on the dense Tx) the columns actually reduced.
 
     Truncation bias is O(e^{-2 kappa (L - a)}) and is estimated in the
     diagnostics from the computed ground state; it is not removed.
@@ -523,6 +640,9 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     coarsest = _node_count(geometry, grid, 1)
     if count >= coarsest:
         raise ValidationError(f"count must be below the mesh node count {coarsest}, got {count}")
+    segments = _subdivisions(geometry, grid)[0]
+    half = _half_segments(geometry, segments)
+    mirrored = half is not None
     # node counts grow about fourfold per level, so this stops within a dozen levels
     for lev in range(levels):
         nodes = _node_count(geometry, grid, 2**lev)
@@ -531,8 +651,14 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
                 f"mesh level {lev + 1} of {levels} would have {nodes} nodes, more than "
                 f"{MAX_MESH_NODES}; use a larger h or fewer levels"
             )
+    # present columns of the finest Tx: the even half's (x = 0 included) or the full box's
+    columns = sum(n for _, _, n in half or segments) * 2 ** (levels - 1) - (not mirrored)
+    if columns > MAX_TX_COLUMNS:
+        raise ValidationError(
+            f"mesh level {levels} would have {columns} columns, more than {MAX_TX_COLUMNS}; "
+            "use a larger h, a smaller L or fewer levels"
+        )
 
-    mirrored = _half_segments(geometry, _subdivisions(geometry, grid)[0]) is not None
     parities = ("even", "odd") if mirrored else (None,)
     boxes = [_solve_box(geometry, grid, count, levels, parity) for parity in parities]
     counts = [below for below, _, _ in boxes]

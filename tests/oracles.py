@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 from scipy.integrate import quad
+from scipy.sparse import linalg
 from scipy.special import eval_chebyu, jv
 
 from winguide import fd_oracle
@@ -289,6 +290,151 @@ def rect_fd_eigenvalues(m1: int, h1: float, m2: int, h2: float, count: int):
     return vals[:count]
 
 
+# The sparse reference for `fd_oracle`: the same finite-volume C assembled as
+# a sparse matrix, counted by the inertia of an unpivoted LDL^T and solved by
+# ARPACK shift-invert. It shares only `fd_oracle._Mesh` with the oracle.
+
+_ARPACK_SEED = 97
+
+
+def fd_assemble(mesh) -> sparse.csc_matrix:
+    """Symmetric finite-volume matrix as a sparse CSC matrix.
+
+    Present nodes are numbered in C order of `mesh.present`: column by column
+    from x = -L, bottom to top within a column. The face between neighbours
+    along either axis has the weight (dual width across it) / (step along it),
+    a grid line's dual width being the mean of its two adjacent steps (the
+    interface row's is (h_down + h_up) / 2). A face with both ends present is
+    a stiffness entry; each present end adds the weight to its own diagonal,
+    which is the Dirichlet closure (walls, slit, window tips) where the other
+    end is absent. With the dual-cell areas B this returns
+    C = B^{-1/2} A B^{-1/2}, whose eigenvalues approximate the Dirichlet
+    Laplacian's.
+    """
+    present, n = mesh.present, mesh.n_nodes
+    index = np.full(present.shape, -1)
+    index[present] = np.arange(n)
+    wx = 0.5 * (np.r_[0.0, mesh.hx] + np.r_[mesh.hx, 0.0])
+    wy = 0.5 * (np.r_[0.0, mesh.hy] + np.r_[mesh.hy, 0.0])
+    diag = np.zeros(present.shape)
+    faces = []
+    # x faces, then y faces: a node is the lower end of at most one face per axis,
+    # so slice sums need no np.add.at; sums on absent nodes are never read
+    for weight, lo, hi in (
+        (wy[None, :] / mesh.hx[:, None], np.s_[:-1, :], np.s_[1:, :]),
+        (wx[:, None] / mesh.hy[None, :], np.s_[:, :-1], np.s_[:, 1:]),
+    ):
+        diag[lo] += weight
+        diag[hi] += weight
+        both = present[lo] & present[hi]
+        faces.append((index[lo][both], index[hi][both], weight[both]))
+    p, q, c = map(np.concatenate, zip(*faces))
+
+    bcell = np.outer(wx, wy)[present]
+    c_scaled = c / np.sqrt(bcell[p] * bcell[q])
+    nodes = np.arange(n)
+    rows = np.concatenate([nodes, p, q])
+    cols = np.concatenate([nodes, q, p])
+    entries = np.concatenate([diag[present] / bcell, -c_scaled, -c_scaled])
+    return sparse.csc_matrix((entries, (rows, cols)), shape=(n, n))
+
+
+def fd_factor(C, sigma: float):
+    """Unpivoted sparse LDL^T of C - sigma I, for the symmetric sparse matrix C.
+
+    A symmetric fill-reducing ordering with diagonal pivots only gives
+    P (C - sigma I) P^T = L D L^T, D being the diagonal of U; at sigma = 0 on
+    a positive definite C that is a Cholesky-like factor with about half the
+    fill of the default COLAMD. The shift goes onto C's stored diagonal in
+    place and comes off again from a saved copy once the factor is built, so
+    no second n x n matrix exists and C is left bitwise unchanged. A zero
+    pivot makes SuperLU either pivot off the diagonal (a row permutation
+    other than the column one) or stop on a singular factor; an indefinite
+    C - sigma I can do either, and both raise NumericalFailureError.
+    """
+    diagonal = C.diagonal()
+    C.setdiag(diagonal - sigma)
+    try:
+        lu = linalg.splu(
+            C,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise NumericalFailureError(f"LDL^T of C - {sigma} I failed: {exc}") from exc
+    finally:
+        C.setdiag(diagonal)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalFailureError(
+            f"LDL^T of C - {sigma} I needed off-diagonal pivots; its inertia is unknown"
+        )
+    return lu
+
+
+def fd_count_below(C, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric sparse matrix C below sigma.
+
+    By Sylvester's law of inertia, the negative entries of D in the LDL^T
+    factor of C - sigma I (`fd_factor`). Reading `lu.U` caches CSC copies of
+    both factors, so this runs on the coarsest mesh only.
+    """
+    return int(np.count_nonzero(fd_factor(C, sigma).U.diagonal() < 0.0))
+
+
+def fd_eigenpairs_near(C, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The `count` eigenpairs of the sparse matrix C nearest sigma, in ascending order.
+
+    ARPACK's shift-invert mode about sigma: each Lanczos step is one solve
+    with the LDL^T factor of C - sigma I (`fd_factor`); the solves are counted.
+    About sigma = 0 on a positive definite C these are the smallest
+    eigenpairs. The start vector is seeded, so the result does not change
+    from call to call. Callers ask for no more pairs than they need: at
+    tol = 0 ARPACK spends most of its solves on any wanted eigenvalue in the
+    continuum above 1.
+    """
+    n = C.shape[0]
+    lu = fd_factor(C, sigma)
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    inverse = linalg.LinearOperator((n, n), matvec=solve, dtype=C.dtype)
+    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(n)
+    # about zero the wanted eigenvalues of the inverse are barely separated from
+    # the continuum's and ARPACK's default basis of 20 pays; about a nearby shift
+    # they stand far apart and a short basis converges in fewer solves
+    ncv = min(n, 4 * count + 2) if sigma else None
+    try:
+        _, vecs = linalg.eigsh(
+            C, count, sigma=sigma, which="LM", ncv=ncv, tol=0.0, v0=v0, OPinv=inverse
+        )
+    except linalg.ArpackError as exc:
+        raise NumericalFailureError(
+            f"ARPACK shift-invert about {sigma} failed after {solves} solves: {exc}"
+        ) from exc
+    # Rayleigh quotients on C itself: ARPACK's sigma + 1/theta carries the
+    # factor's rounding, which grows like eps ||C|| ~ eps / h^2 (3.5e-13 at
+    # h = 0.025), while these are off by |residual|^2 / gap, so no level
+    # depends on sigma or on the factorization
+    product = C @ vecs
+    vals = np.sum(vecs * product, axis=0) / np.sum(vecs * vecs, axis=0)
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = vecs[:, order]
+    resid = product[:, order] - vecs * vals
+    diag = {
+        "iterations": solves,
+        "converged": int(vals.size),
+        "residual_max": float(np.max(np.linalg.norm(resid, axis=0))),
+        "shift": sigma,
+    }
+    return vals, vecs, diag
+
+
 def reflected_full_mesh(geometry, grid, refine: int) -> SimpleNamespace:
     """The full box's FD mesh, reflected from the oracle's even x >= 0 half mesh.
 
@@ -296,26 +442,31 @@ def reflected_full_mesh(geometry, grid, refine: int) -> SimpleNamespace:
     its mirror image bitwise. The oracle's own full mesh spaces each segment
     by `linspace` from -L and misses that symmetry by rounding, which no
     half-domain solve can reproduce; this mesh is the fair reference for one.
-    Carries what `fd_oracle._assemble` reads.
+    Carries what `fd_assemble` reads.
     """
     half = fd_oracle._Mesh(geometry, grid, refine, "even")
     x = np.concatenate([-half.x[:0:-1], half.x])
     present = np.concatenate([half.present[:0:-1], half.present])
     return SimpleNamespace(
-        x=x, hx=np.diff(x), hy=half.hy, present=present, n_nodes=int(np.count_nonzero(present))
+        x=x,
+        hx=np.diff(x),
+        hy=half.hy,
+        present=present,
+        interface=half.interface,
+        n_nodes=int(np.count_nonzero(present)),
     )
 
 
 def reflected_full_levels(geometry, grid, levels: int, count: int):
     """Per-level lowest `count` FD eigenvalues on `reflected_full_mesh`, and the finest ground vector.
 
-    Each level is one shift-invert solve about 0 of the whole box, with
-    the oracle's own assembly and eigensolver.
+    Each level is one shift-invert solve about 0 of the whole box, with the
+    sparse reference's assembly and eigensolver.
     """
     values = []
     for lev in range(levels):
-        C = fd_oracle._assemble(reflected_full_mesh(geometry, grid, 2**lev))
-        vals, vecs, _ = fd_oracle._eigenpairs_near(C, count, 0.0)
+        C = fd_assemble(reflected_full_mesh(geometry, grid, 2**lev))
+        vals, vecs, _ = fd_eigenpairs_near(C, count, 0.0)
         values.append(vals)
     return values, vecs[:, 0]
 
