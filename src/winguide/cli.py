@@ -9,13 +9,15 @@ Subcommands:
 * ``verify``   full asymptotics verification report (JSON bundle)
 
 Exit codes: 0 on success, 2 for configuration or validation problems (any
-``ValidationError``), 3 for numerical failures (any other ``WaveguideError``),
-4 when ``verify`` produces failing verdicts.
+``ValidationError``, an ``--out`` file that cannot be written included), 3 for
+numerical failures (any other ``WaveguideError``), 4 when ``verify`` produces
+failing verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -42,15 +44,17 @@ def _load_config(path: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the output text to stdout or to the --out file, newline-terminated."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _sanitize(value):
@@ -88,9 +92,8 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lines = ["index,lambda,parity,c,source"]
         for rec in records:
-            lines.append(
-                f"{rec['index']},{rec['lambda']!r},{rec['parity']},{rec['c']!r},{rec['source']}"
-            )
+            c = "" if rec["c"] is None else repr(rec["c"])
+            lines.append(f"{rec['index']},{rec['lambda']!r},{rec['parity']},{c},{rec['source']}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_json_text({"schema_version": SCHEMA_VERSION, "modes": records}), args.out)
@@ -133,10 +136,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.l_list is not None:
         l_values = _parse_l_list(args.l_list)
     records = sweep_l(config, l_values, settings)
-    if args.out is None:
-        write_sweep_csv(records, sys.stdout)
-    else:
-        write_sweep_csv(records, args.out)
+    text = io.StringIO()
+    write_sweep_csv(records, text)
+    _emit(text.getvalue(), args.out)
     return 0
 
 

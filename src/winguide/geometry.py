@@ -73,11 +73,6 @@ class Geometry:
                     f"windows {i - 1} and {i} overlap or touch (gap {gap:.3e} < {GAP_MIN})"
                 )
 
-    @property
-    def span(self) -> tuple[float, float]:
-        """Leftmost and rightmost window edge."""
-        return self.windows[0].left, self.windows[-1].right
-
 
 @dataclass(frozen=True)
 class SolverSettings:

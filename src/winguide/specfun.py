@@ -42,11 +42,12 @@ import numpy as np
 
 from .errors import ThresholdError, UnsupportedArgumentError, ValidationError
 
+# The strip profile of the near-zone field route (strip_kernel) is a test
+# reference in tests/fields.py; the package evaluates fields by the far route.
 __all__ = [
     "mode_kappa",
     "norm_weight",
     "grad_weight",
-    "strip_kernel",
     "bessel_j",
     "ive",
 ]
@@ -408,37 +409,3 @@ def grad_weight(xi, lam: float, width: float):
     u = arr * arr - lamf
     wgt = 1.0 / w + (2.0 * arr * arr - lamf) * _creg(u, w) - lamf * w * _sreg(u, w)
     return _scalar_like(xi, wgt)
-
-
-def strip_kernel(xi, lam: float, width: float, depth: float):
-    """Transverse profile sinh((width-depth) z)/sinh(width z) of the strip extension.
-
-    `depth` is the distance from the interface line into the strip, in [0, width].
-    Equals 1 at depth 0 and 0 at the far Dirichlet wall; evaluated stably on both
-    the real and imaginary z branches.
-    """
-    w = _check_width(width)
-    lamf = _check_lambda(lam)
-    y = float(depth)
-    if not (0.0 <= y <= w + 1e-12):
-        raise ValidationError(f"depth {depth!r} outside strip of width {width!r}")
-    y = min(y, w)
-    arr = _as_farray(xi)
-    u = arr * arr - lamf
-    out = np.empty_like(u)
-
-    pos = u > 1e-14
-    if np.any(pos):
-        t = np.sqrt(u[pos])
-        out[pos] = np.exp(-y * t) * np.expm1(-2.0 * (w - y) * t) / np.expm1(-2.0 * w * t)
-
-    neg = u < -1e-14
-    if np.any(neg):
-        s = np.sqrt(-u[neg])
-        out[neg] = np.sin((w - y) * s) / np.sin(w * s)
-
-    mid = ~(pos | neg)
-    if np.any(mid):
-        out[mid] = (w - y) / w
-
-    return _scalar_like(xi, out)

@@ -1,4 +1,4 @@
-"""Fields, norms, and modal analysis built on interface traces.
+"""Trapped modes, their norms and far fields, built on interface traces.
 
 Every eigenfunction or forced solution of the coupled strips is represented by
 its interface trace phi on the window set; the field in either strip is the
@@ -6,14 +6,14 @@ decaying lambda-harmonic extension of phi.  All L2 and energy quantities reduce
 to weighted integrals of |phi_hat|^2.  Production norms (normalize_mode) come
 from the Galerkin matrix, ||u||^2 = x^T G x with G = -dM/dlambda
 (assembly.norm_matrix) at the caller's quadrature settings, for any window
-set; field_norm and gradient_norm are an independent single-window Fourier
+set; _field_sq and _grad_sq are an independent single-window Fourier
 quadrature of the same integrals, on assembly's window table cut at xi = 800
 rather than M(lambda)'s 200, the check behind the energy identity of solve_U.
-Two independent reconstruction routes are kept for the field itself: a
-Fourier quadrature valid anywhere off the interface (near route) and a
-transverse-mode series valid beyond the windows (far route); their agreement
-in the overlap zone is a structural self-check, so neither may be expressed
-through the other.
+The field itself is reconstructed only beyond the windows, by the
+transverse-mode series (far route) behind modal_coeffs; that is the product.
+The Fourier inversion valid anywhere off the interface (near route) is its
+independent reference in the tests (tests/fields.py): the two agree in the
+overlap zone, so neither may be expressed through the other.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .assembly import (
     _window_table,
     assemble_exp_rhs,
     assemble_galerkin,
-    beta_matrix,
     gl_panels,
-    graded_edges,
     norm_matrix,
 )
 from .errors import (
@@ -43,18 +41,16 @@ from .errors import (
 )
 from .geometry import Geometry, SolverSettings, WindowSpec
 from .spectral import ScanRoot, scan_eigenvalues
-from .specfun import grad_weight, mode_kappa, norm_weight, strip_kernel
+from .specfun import grad_weight, mode_kappa, norm_weight
 
+# The far route (modal_coeffs) is the product; the near-zone field route is
+# its independent reference in tests/fields.py.
 __all__ = [
     "TraceFunction",
     "Eigenmode",
     "USolution",
     "ModalCoefficients",
     "trace_from_root",
-    "field_norm",
-    "gradient_norm",
-    "evaluate_field",
-    "evaluate_field_grid",
     "modal_coeffs",
     "normalize_mode",
     "coeff_c",
@@ -62,10 +58,9 @@ __all__ = [
     "compute_modes",
 ]
 
-_ENERGY_QUADRATURE = SolverSettings(xi_max=800.0)  # field_norm/gradient_norm tables
+_ENERGY_QUADRATURE = SolverSettings(xi_max=800.0)  # energy-identity tables
 _GL_POINTS = 24
 _FAR_MARGIN = 0.5          # beyond this distance from every window: far zone
-_SLIVER = 1e-2             # near route keeps |x2| above this
 _SERIES_LOG_CUT = 42.0     # e^-42, relative truncation of the mode series
 
 
@@ -97,36 +92,6 @@ class TraceFunction:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.window_coeffs(i) for i in range(len(self.coeffs))])
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "geometry": {
-                "d": self.geometry.d,
-                "windows": [
-                    {"center": w.center, "half_width": w.half_width}
-                    for w in self.geometry.windows
-                ],
-            },
-            "coeffs": [list(block) for block in self.coeffs],
-            "normalized": self.normalized,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceFunction":
-        geo = Geometry(
-            data["geometry"]["d"],
-            tuple(
-                WindowSpec(w["center"], w["half_width"])
-                for w in data["geometry"]["windows"]
-            ),
-        )
-        return cls(
-            data["lambda"],
-            geo,
-            tuple(tuple(block) for block in data["coeffs"]),
-            bool(data["normalized"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -238,34 +203,8 @@ def _grad_sq(trace: TraceFunction) -> float:
     return float(total)
 
 
-def field_norm(trace: TraceFunction) -> float:
-    """L2 norm of the field over both strips, by Fourier quadrature of the trace.
-
-    An independent check on a single-window trace (normalize_mode takes its
-    norms from norm_matrix instead); a multi-window trace raises
-    ValidationError.
-    """
-    return float(np.sqrt(max(_field_sq(trace), 0.0)))
-
-
-def gradient_norm(trace: TraceFunction) -> float:
-    """L2 norm of the field gradient over both strips, by Fourier quadrature.
-
-    The leading |xi| part of the weight is integrated in closed form (diagonal
-    in the basis), so the remaining quadrature sees an O(xi^-3) integrand and
-    this value stays independent of the matrix assembly used to produce the
-    trace.  Single-window traces only, like field_norm: together they check
-    the energy identity of solve_U.
-    """
-    return float(np.sqrt(max(_grad_sq(trace), 0.0)))
-
-
 # ---------------------------------------------------------------------------
-# field evaluation: far route (transverse-mode series)
-
-def _window_distance(geometry: Geometry, x1: float) -> float:
-    return min(abs(x1 - w.center) - w.half_width for w in geometry.windows)
-
+# far-zone field: transverse-mode series
 
 def _mode_amplitudes(trace: TraceFunction, x1: float, strip_width: float):
     """Per-mode amplitudes of the far-zone series at abscissa x1.
@@ -314,83 +253,6 @@ def _modal_profile(trace: TraceFunction, x1: float, x2: np.ndarray) -> np.ndarra
     if np.any(~up):
         j, amps = _mode_amplitudes(trace, x1, d)
         out[~up] = np.sin(np.outer((x2[~up] + d) * np.pi / d, j)) @ amps
-    return out
-
-
-# ---------------------------------------------------------------------------
-# field evaluation: near route (Fourier quadrature)
-
-def _fourier_grid(trace: TraceFunction, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """u on the product grid x1 x x2 via direct inversion of the trace transform."""
-    lam = trace.lam
-    geometry = trace.geometry
-    d = geometry.d
-    min_depth = float(np.min(np.abs(x2)))
-    if min_depth < 1e-3:
-        raise EvaluationDomainError("Fourier route needs |x2| >= 1e-3")
-    xi_max = max(80.0, 25.0 / min_depth)
-    rate = 1.0 + max(
-        w.half_width + np.max(np.abs(x1 - w.center)) for w in geometry.windows
-    )
-    width = min(1.0, 4.0 / rate)
-    nodes, weights = gl_panels(graded_edges(xi_max, width), _GL_POINTS)
-
-    kernel_w = np.empty((nodes.size, x2.size))
-    for s, y in enumerate(x2):
-        strip = np.pi if y >= 0.0 else d
-        kernel_w[:, s] = strip_kernel(nodes, lam, strip, abs(y))
-    kernel_w *= weights[:, None]
-
-    eo_parts = []
-    for i, w in enumerate(geometry.windows):
-        beta = beta_matrix(w.half_width, trace.order, nodes)
-        eo_parts.append((w.center, *_eo(trace.window_coeffs(i), beta)))
-
-    out = np.empty((x1.size, x2.size))
-    chunk = max(1, int(4e6 // nodes.size))
-    for r0 in range(0, x1.size, chunk):
-        r1 = min(r0 + chunk, x1.size)
-        block = np.zeros((r1 - r0, nodes.size))
-        for center, e, o in eo_parts:
-            arg = np.outer(x1[r0:r1] - center, nodes)
-            block += e * np.cos(arg) + o * np.sin(arg)
-        out[r0:r1] = block @ kernel_w / np.pi
-    return out
-
-
-def evaluate_field(trace: TraceFunction, point) -> float:
-    """Field value at a single point of either strip.
-
-    Uses the transverse-mode series beyond the windows and Fourier inversion
-    near them; inside the near zone the sliver |x2| < 1e-2 is rejected because
-    the inversion there is not certified.
-    """
-    x1, x2 = float(point[0]), float(point[1])
-    d = trace.geometry.d
-    if not (-d <= x2 <= np.pi):
-        raise EvaluationDomainError(f"x2 = {x2} outside [-d, pi]")
-    if _window_distance(trace.geometry, x1) > _FAR_MARGIN:
-        return float(_modal_profile(trace, x1, np.array([x2]))[0])
-    if abs(x2) < _SLIVER:
-        raise EvaluationDomainError(
-            f"|x2| = {abs(x2)} below {_SLIVER} inside the near zone"
-        )
-    return float(_fourier_grid(trace, np.array([x1]), np.array([x2]))[0, 0])
-
-
-def evaluate_field_grid(trace: TraceFunction, x1, x2) -> np.ndarray:
-    """Field on a product grid; far columns use the series, the rest Fourier."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    d = trace.geometry.d
-    if np.any(x2 < -d) or np.any(x2 > np.pi):
-        raise EvaluationDomainError("x2 values outside [-d, pi]")
-    out = np.empty((x1.size, x2.size))
-    far = np.array([_window_distance(trace.geometry, v) > _FAR_MARGIN for v in x1])
-    for r in np.nonzero(far)[0]:
-        out[r] = _modal_profile(trace, float(x1[r]), x2)
-    if np.any(~far):
-        out[~far] = _fourier_grid(trace, x1[~far], x2)
     return out
 
 

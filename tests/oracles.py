@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.sparse import linalg
 from scipy.special import eval_chebyu, jv
 
+from fields import evaluate_field_grid
 from winguide import fd_oracle
 from winguide.assembly import sub_symbol
 from winguide.errors import NumericalFailureError, ValidationError
@@ -505,8 +506,6 @@ def brute_force_field_norm(trace, extent: float = 25.0, sliver: float = 1e-2):
     the exact window trace (inside the window) or a linear Dirichlet model
     (outside).
     """
-    from winguide.waveguide import evaluate_field_grid
-
     geometry = trace.geometry
     if len(geometry.windows) != 1 or geometry.windows[0].center != 0.0:
         raise ValueError("oracle supports a single centered window")

@@ -80,6 +80,43 @@ def test_modes_out_file(single_cfg, tmp_path, capsys):
     assert payload["modes"][0]["lambda"] == pytest.approx(LAMBDA1_A1_D2, abs=1e-12)
 
 
+def test_modes_csv_pair_leaves_c_empty(tmp_path, capsys):
+    # a window pair has no c; its cell is empty, as in the sweep CSV
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"d": 2, "a_minus": 1, "a_plus": 1, "l": 4}))
+    assert main(["modes", str(path), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 5
+        assert cells[3] == ""
+        assert cells[4] == "spectral"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("modes", ()),
+        ("coeff-c", ("--lambda", "0.5")),
+        ("sweep", ("--l", "6")),
+        ("oracle", ("--h", "0.1", "--L", "11", "--count", "1", "--levels", "1")),
+        ("verify", ()),
+    ],
+)
+def test_out_in_missing_directory_exit_two(
+    single_cfg, double_cfg, tmp_path, capsys, command, extra
+):
+    config = double_cfg if command in ("sweep", "verify") else single_cfg
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, config, *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()
+
+
 def test_coeff_c_frozen_value(single_cfg, capsys):
     assert main(["coeff-c", single_cfg, "--lambda", "0.5"]) == 0
     payload = _strict_loads(capsys.readouterr().out)

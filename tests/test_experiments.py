@@ -1,7 +1,12 @@
 """Tests for sweep orchestration, exponential fits, overlap diagnostics, and the CSV export."""
 
 import io
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +267,40 @@ def test_overlap_residual_accurate_near_a_host_trace(hosts):
         for side, sign in (("minus", 1.0), ("plus", -1.0))
         if side in hosts
     }
+
+
+_BUNDLE_SUMMARY = """
+import json, sys
+from winguide.experiments import DEFAULT_DOUBLE_CONFIG, DEFAULT_SIMPLE_CONFIG, verify_report
+summary = []
+for config in (DEFAULT_DOUBLE_CONFIG, DEFAULT_SIMPLE_CONFIG):
+    bundle = verify_report(json.dumps(config)).to_dict()
+    singles = [m["lambda"] for side in bundle["single_windows"].values() for m in side["modes"]]
+    summary.append({
+        "verdicts": {name: v["pass"] for name, v in bundle["verdicts"].items()},
+        "eigenvalues": [singles] + [rec["eigenvalues"] for rec in bundle["sweep"]],
+    })
+json.dump(summary, sys.stdout)
+"""
+
+
+def test_verify_bundles_agree_across_blas_thread_counts():
+    # The contract as it holds: bundles are bitwise reproducible only at a
+    # fixed BLAS thread count; across counts the assembly's reductions may
+    # round differently, so eigenvalues agree to 1e-12 and verdicts exactly.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", _BUNDLE_SUMMARY],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(result.stdout))
+    for one, two in zip(*runs):
+        assert one["verdicts"] == two["verdicts"]
+        assert [len(e) for e in one["eigenvalues"]] == [len(e) for e in two["eigenvalues"]]
+        for a, b in zip(one["eigenvalues"], two["eigenvalues"]):
+            assert np.max(np.abs(np.subtract(a, b)), initial=0.0) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fields import evaluate_field, field_norm, fourier_grid, gradient_norm
 from winguide import assembly, waveguide
 from winguide.assembly import assemble_galerkin, norm_matrix
 from winguide.errors import (
@@ -21,15 +22,11 @@ from winguide.waveguide import (
     TraceFunction,
     coeff_c,
     compute_modes,
-    evaluate_field,
-    evaluate_field_grid,
-    field_norm,
-    gradient_norm,
     modal_coeffs,
     normalize_mode,
     solve_U,
 )
-from winguide.waveguide import _fourier_grid, _modal_profile
+from winguide.waveguide import _modal_profile
 
 # Frozen regression values (computed at default settings, cross-checked
 # against the finite-difference oracle where stated).
@@ -92,12 +89,6 @@ def test_quadrature_norms_reject_pair_trace():
         gradient_norm(trace)
 
 
-def test_trace_serialization_roundtrip(mode1):
-    data = mode1.trace.to_dict()
-    back = TraceFunction.from_dict(data)
-    assert back == mode1.trace
-
-
 def test_evaluate_field_dirichlet_wall(mode1):
     for x1 in (0.0, 0.7, 4.0):
         assert abs(evaluate_field(mode1.trace, (x1, math.pi))) < 1e-10
@@ -134,7 +125,7 @@ def test_near_and_far_methods_agree_in_overlap(mode1):
     # beyond the far margin it must match the transverse-mode series.
     x1 = np.array([1.7, 2.1, 2.5])
     x2 = np.array([-1.2, -0.4, 0.35, 0.9, 2.2])
-    fourier = _fourier_grid(mode1.trace, x1, x2)
+    fourier = fourier_grid(mode1.trace, x1, x2)
     for r, v in enumerate(x1):
         series = _modal_profile(mode1.trace, float(v), x2)
         assert np.abs(series - fourier[r]).max() <= 1e-8
