@@ -340,7 +340,12 @@ def _diagonal_block(lam: float, table: _WindowTable, d: float) -> np.ndarray:
     return upper + np.triu(block, 1).T
 
 
-def cross_kernel_series(lam: float, d: float, gap: float, k_cap: int = 50000):
+# terms per strip of the cross-window series: enough for window gaps down to
+# 44 / 50,000 = 8.8e-4 in the upper strip, its widest
+_MAX_CROSS_MODES = 50_000
+
+
+def cross_kernel_series(lam: float, d: float, gap: float):
     """Transverse-mode expansion data for the interface kernel between strips.
 
     Returns (kappas, amps) with K(x) = -sum amps * exp(-kappas*|x|); the series
@@ -353,7 +358,7 @@ def cross_kernel_series(lam: float, d: float, gap: float, k_cap: int = 50000):
     amps = []
     for w in (np.pi, d):
         k_needed = int(np.ceil(44.0 * w / (np.pi * gap))) + 2
-        if k_needed > k_cap:
+        if k_needed > _MAX_CROSS_MODES:
             raise AccuracyError(
                 "window gap too small for the mode-series cross block",
                 {"gap": gap, "modes_needed": k_needed},

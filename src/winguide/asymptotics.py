@@ -39,7 +39,6 @@ class AsymptoticPrediction:
     mu: float | None                # double case
     mu_variants: tuple[float, float] | None   # simple case: (printed, derived)
     predicted: Callable[[float], object]
-    note: str
 
 
 def _tau(d: float) -> int:
@@ -77,7 +76,8 @@ def simple_prediction(
     square, so predicted(l) returns both: 'printed' uses
     mu = tau pi kappa c_host c_other^2 and 'derived' uses
     mu = tau pi kappa c_host^2 c_other.  The derived variant is the one
-    consistent with a strictly negative shift.
+    consistent with a strictly negative shift. The remainder is
+    O(l^2 e^{-8 kappa l} + e^{-2 l (kappa + rho)}).
     """
     kappa, rho, tau = decay_params(lambda_star, d)
     mu_printed = tau * np.pi * kappa * c_host * c_other ** 2
@@ -93,7 +93,6 @@ def simple_prediction(
     return AsymptoticPrediction(
         lambda_star, "simple", kappa, rho, tau, None,
         (float(mu_printed), float(mu_derived)), predicted,
-        "remainder O(l^2 e^{-8 kappa l} + e^{-2 l (kappa + rho)})",
     )
 
 
@@ -105,7 +104,8 @@ def double_prediction(
     predicted(l) returns (lambda_+, lambda_-) with
     lambda_pm = lambda* +- |mu| e^{-2 kappa l} and
     mu = (-1)^{m+1} tau pi kappa c_minus c_plus; mu = 0 flags the case where
-    the pair may instead remain one double eigenvalue.
+    the pair may instead remain one double eigenvalue. The remainder is
+    O(l e^{-4 kappa l} + e^{-2 rho l}).
     """
     kappa, rho, tau = decay_params(lambda_star, d)
     mu = (-1.0) ** (m + 1) * tau * np.pi * kappa * c_minus * c_plus
@@ -114,7 +114,4 @@ def double_prediction(
         shift = abs(mu) * np.exp(-2.0 * kappa * l)
         return float(lambda_star + shift), float(lambda_star - shift)
 
-    return AsymptoticPrediction(
-        lambda_star, "double", kappa, rho, tau, float(mu), None, predicted,
-        "remainder O(l e^{-4 kappa l} + e^{-2 rho l})",
-    )
+    return AsymptoticPrediction(lambda_star, "double", kappa, rho, tau, float(mu), None, predicted)

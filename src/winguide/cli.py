@@ -17,8 +17,10 @@ failing verdicts.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
+import os
 import sys
 
 from .errors import ValidationError, WaveguideError
@@ -214,6 +216,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # an --out in a missing directory fails as `_emit` would, before the command runs
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+            raise ValidationError(f"cannot write output file {args.out!r}: {missing}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

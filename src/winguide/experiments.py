@@ -463,8 +463,8 @@ def _sweep_one(config, elements, grams, l, settings) -> SweepRecord:
     )
 
 
-def write_sweep_csv(records, target) -> None:
-    """Write one row per (l, eigenvalue) with `.` decimals and `,` separators.
+def write_sweep_csv(records, fh) -> None:
+    """Write one row per (l, eigenvalue) to the text stream fh, `.` decimals and `,` separators.
 
     Prediction columns not applicable to a row (printed/derived for shared
     elements, double_plus/minus for simple ones) are left empty; numbers use
@@ -478,30 +478,23 @@ def write_sweep_csv(records, target) -> None:
             return ""
         return repr(value) if isinstance(value, float) else str(value)
 
-    def emit(fh):
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for rec in records:
-            for i in range(len(rec.eigenvalues)):
-                pred = rec.predictions[i]
-                row = [
-                    cell(rec.l),
-                    str(i + 1),
-                    cell(rec.eigenvalues[i]),
-                    cell(rec.lambda_star[i]),
-                    cell(rec.shifts[i]),
-                    cell(pred.get("printed")),
-                    cell(pred.get("derived")),
-                    cell(pred.get("double_plus")),
-                    cell(pred.get("double_minus")),
-                    cell(rec.overlaps[i].get("residual")),
-                ]
-                fh.write(",".join(row) + "\n")
-
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8") as fh:
-            emit(fh)
-    else:
-        emit(target)
+    fh.write(",".join(_CSV_COLUMNS) + "\n")
+    for rec in records:
+        for i in range(len(rec.eigenvalues)):
+            pred = rec.predictions[i]
+            row = [
+                cell(rec.l),
+                str(i + 1),
+                cell(rec.eigenvalues[i]),
+                cell(rec.lambda_star[i]),
+                cell(rec.shifts[i]),
+                cell(pred.get("printed")),
+                cell(pred.get("derived")),
+                cell(pred.get("double_plus")),
+                cell(pred.get("double_minus")),
+                cell(rec.overlaps[i].get("residual")),
+            ]
+            fh.write(",".join(row) + "\n")
 
 
 def _series(records, element_pos: int):

@@ -34,7 +34,8 @@ half has a Neumann column on x = 0 and the odd half a Dirichlet one. The full
 box's matrix is orthogonally similar to the direct sum of the two, so their
 counts add up to the full count and their eigenvalues together are the full
 box's, each half with half the columns of Tx and an eighth of the cost of
-its `eigh`.
+its `eigh`. The solve goes level by level, and on each level through each
+box in turn (the full box, or the even and then the odd half).
 Richardson extrapolation over a nested mesh family removes the leading mesh
 error.
 
@@ -112,7 +113,6 @@ class OracleResult:
     """
 
     grid: GridSpec
-    requested: int
     eigenvalues: tuple[float, ...]
     levels: tuple[tuple[float, tuple[float, ...]], ...]
     extrapolated: tuple[float, ...]
@@ -140,16 +140,12 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class Extrapolation:
-    """Result of `richardson_extrapolate`; unpacks as (lambda_star, error_estimate)."""
+    """Result of `richardson_extrapolate`."""
 
     lambda_star: float
     error_estimate: float
     order: float | None
     unreliable: bool
-
-    def __iter__(self):
-        yield self.lambda_star
-        yield self.error_estimate
 
 
 def _subdivisions(geometry: Geometry, grid: GridSpec):
@@ -521,108 +517,45 @@ def _perron_check(vec: np.ndarray) -> dict:
     return {"ok": bool(worst >= -1e-6 * peak), "min_over_max": worst / peak}
 
 
-def _solve_box(geometry: Geometry, grid: GridSpec, count: int, levels: int, parity: str | None):
-    """Each level's lowest eigenvalues below 1 on the full box or on one mirror half.
-
-    Returns the coarsest count below 1 (None with no windows), a
-    (h, values, diagnostics) triple per level, and (level, value, vector) for
-    the lowest pair of the last level that has one, or None. A half's vector
-    is unfolded for `_perron_check`, which reads only its extremes: the even
-    half's x = 0 column is scaled to the full box's dual cells there, and the
-    odd half's vector is joined by its negative. Only one level's reduction is
-    alive at a time. See `fd_eigenvalues` for the solve order.
-    """
-    out = []
-    ground = None
-    below_one = None
-    wanted = count
-    for lev in range(levels):
-        mesh = _Mesh(geometry, grid, 2**lev, parity)
-        diag = {"iterations": 0, "converged": 0}
-        vals = []
-        if wanted:
-            level = _Reduced(mesh)
-            below = None
-            n = wanted
-            if geometry.windows:
-                below = level.count(1.0)
-                if lev == 0:
-                    below_one = below
-                    wanted = min(count, below)
-                n = min(wanted, below)
-            vals, vecs = level.lowest(n, below)
-            diag = {"iterations": level.evaluations, "converged": len(vals)}
-            if vals:
-                diag["residual_max"] = max(level.residual(v, u) for v, u in zip(vals, vecs))
-                u = vecs[0]
-                if parity == "even":
-                    # the full box's dual cells on x = 0 are twice the half's
-                    u[0] *= math.sqrt(2.0)
-                vec = u[mesh.present]
-                if parity == "odd":
-                    vec = np.concatenate([vec, -vec])
-                ground = (lev, vals[0], vec)
-            del level, vecs
-        diag.update(h=mesh.h_nominal, nodes=mesh.n_nodes)
-        out.append((mesh.h_nominal, tuple(float(v) for v in vals), diag))
-    return below_one, out, ground
-
-
-def _merge_level(parts: list, wanted: int) -> tuple[float, tuple[float, ...], dict]:
-    """One level of the full box from its boxes' (h, values, diagnostics) triples.
-
-    Keeps the lowest `wanted` values. Evaluations of S, converged pairs and
-    nodes add up and `residual_max` is the largest. A single box's triple
-    comes back equal.
-    """
-    vals = tuple(sorted(v for _, part, _ in parts for v in part)[:wanted])
-    diags = [diag for _, _, diag in parts]
-    merged = {
-        "iterations": sum(d["iterations"] for d in diags),
-        "converged": sum(d["converged"] for d in diags),
-    }
-    residuals = [d["residual_max"] for d in diags if "residual_max" in d]
-    if residuals:
-        merged["residual_max"] = max(residuals)
-    merged.update(h=parts[0][0], nodes=sum(d["nodes"] for d in diags))
-    return parts[0][0], vals, merged
-
-
 def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int = 3) -> OracleResult:
     """Smallest `count` eigenvalues below 1, cross-checked over a nested mesh family.
 
     Solves on `levels` meshes (the requested h, then h/2, h/4, ...; subdivision
-    counts double exactly per level so the family is nested) and Richardson
-    extrapolates per eigenvalue index. With no windows the geometry is the
-    validation rectangle; its spectrum sits entirely above 1, so the below-1
-    filter is skipped there and the raw smallest eigenvalues are reported.
+    counts double exactly per level so the family is nested), level by level,
+    and Richardson extrapolates per eigenvalue index. With no windows the
+    geometry is the validation rectangle; its spectrum sits entirely above 1,
+    so the below-1 filter is skipped there and the raw smallest eigenvalues
+    are reported.
 
-    With windows, the eigenvalues below 1 on the coarsest mesh are counted by
-    inertia (`diagnostics["count_below_one"]`), and no level keeps more than
-    wanted = min(count, that count) eigenpairs: the result is truncated to the
-    shortest level's list, which cannot be longer. Each level counts its own
-    eigenvalues below 1 again and solves for the lowest `wanted` of them (see
-    `_Reduced`), so a mode that refinement lifts above 1 drops out of that
-    level. Per level, `diagnostics["levels"]` records the evaluations of the
-    Schur complement S, counts and Newton steps together (`iterations`), the
-    eigenpairs found (`converged`), the largest ||C v - lambda v|| / ||v||
-    over them (`residual_max`, absent when there are none), the nominal `h`
-    and the full box's `nodes`. A coarsest count of 0 gives the empty result
-    with no finer mesh reduced at all. An eigendecomposition that fails,
-    Newton's method or bisection that reaches its cap, or counts that do not
-    bracket the roots raise NumericalFailureError.
+    On each level every box is solved in turn: the full box, or the even and
+    then the odd mirror half (below). Only one box's reduction (`_Reduced`) is
+    alive at a time. With windows, each box counts its eigenvalues below 1 by
+    inertia on the coarsest mesh, wanted = min(count, that count), and on
+    every level counts them again and solves for the lowest `wanted` of them,
+    so a mode that refinement lifts above 1 drops out of that level. A box
+    whose coarsest count is 0 is not reduced past the coarsest mesh. The
+    boxes' counts add up to `diagnostics["count_below_one"]`. Every level
+    keeps its lowest n values, n = `count` or the shortest level's number of
+    values if that is smaller, which is at most count_below_one. Per level,
+    `diagnostics["levels"]` records the evaluations of the Schur complement
+    S, counts and Newton steps together (`iterations`), the eigenpairs found
+    (`converged`), both summed over the boxes, the largest ||C v - lambda v||
+    / ||v|| over them (`residual_max`, absent when there are none), the
+    nominal `h` and the full box's `nodes`. The Perron check reads the lowest
+    eigenvector of the last level that has one. An eigendecomposition that
+    fails, Newton's method or bisection that reaches its cap, or counts that
+    do not bracket the roots raise NumericalFailureError.
 
     When the windows equal their own reflection and x = 0 is a grid line
-    (`_half_segments`), the full box is never reduced: the even and the odd
-    half on [0, L] (`_Mesh`) are each solved as above, one after the other,
-    with their own coarsest counts (`diagnostics["mirror"]`, None when the
-    full box is solved), which add up to count_below_one. A half with count
-    0 is not reduced past the coarsest mesh. Each level keeps the lowest
-    `wanted` of the two halves' values; its `iterations`, `converged` and
-    `nodes` are sums over the halves and `residual_max` their maximum. The
-    Perron check reads the ground vector unfolded to the full box. The node
-    limit and the count check use the full box's node count, the column
-    limit (`MAX_TX_COLUMNS`, on the dense Tx) the columns actually reduced.
+    (`_half_segments`), the full box is never reduced: the boxes are the even
+    and the odd half on [0, L] (`_Mesh`), whose coarsest counts are
+    `diagnostics["mirror"]` (None when the full box is solved). A half's
+    eigenvector is unfolded to the full box for the Perron check, which reads
+    only its extremes: the even half's x = 0 column is scaled to the full
+    box's dual cells there, and the odd half's vector is joined by its
+    negative. The node limit and the count check use the full box's node
+    count, the column limit (`MAX_TX_COLUMNS`, on the dense Tx) the columns
+    actually reduced.
 
     Truncation bias is O(e^{-2 kappa (L - a)}) and is estimated in the
     diagnostics from the computed ground state; it is not removed.
@@ -644,11 +577,12 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     half = _half_segments(geometry, segments)
     mirrored = half is not None
     # node counts grow about fourfold per level, so this stops within a dozen levels
+    nodes = []
     for lev in range(levels):
-        nodes = _node_count(geometry, grid, 2**lev)
-        if nodes > MAX_MESH_NODES:
+        nodes.append(_node_count(geometry, grid, 2**lev))
+        if nodes[-1] > MAX_MESH_NODES:
             raise ValidationError(
-                f"mesh level {lev + 1} of {levels} would have {nodes} nodes, more than "
+                f"mesh level {lev + 1} of {levels} would have {nodes[-1]} nodes, more than "
                 f"{MAX_MESH_NODES}; use a larger h or fewer levels"
             )
     # present columns of the finest Tx: the even half's (x = 0 included) or the full box's
@@ -660,18 +594,48 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         )
 
     parities = ("even", "odd") if mirrored else (None,)
-    boxes = [_solve_box(geometry, grid, count, levels, parity) for parity in parities]
-    counts = [below for below, _, _ in boxes]
-    below_one = None if counts[0] is None else sum(counts)
-    wanted = count if below_one is None else min(count, below_one)
-    merged = [_merge_level([box[lev] for _, box, _ in boxes], wanted) for lev in range(levels)]
-    level_values = [(h, vals) for h, vals, _ in merged]
-    level_diags = [diag for _, _, diag in merged]
-    # the last level with a value, and on it the lowest of the halves' ground values
-    grounds = [ground for _, _, ground in boxes if ground is not None]
-    ground = max(grounds, key=lambda g: (g[0], -g[1]))[2] if grounds else None
+    wanted = dict.fromkeys(parities, count)
+    counts = {}  # each box's coarsest count below 1
+    level_values, level_diags = [], []
+    ground = None  # (level, value, unfolded vector) of the Perron check
+    for lev in range(levels):
+        diag = {"iterations": 0, "converged": 0}
+        vals = []
+        for parity in parities:
+            if not wanted[parity]:
+                continue
+            mesh = _Mesh(geometry, grid, 2**lev, parity)
+            level = _Reduced(mesh)
+            below = level.count(1.0) if geometry.windows else None
+            if lev == 0 and below is not None:
+                counts[parity] = below
+                wanted[parity] = min(count, below)
+            n = wanted[parity] if below is None else min(wanted[parity], below)
+            found, vecs = level.lowest(n, below)
+            diag["iterations"] += level.evaluations
+            diag["converged"] += len(found)
+            if found:
+                residual = max(level.residual(v, u) for v, u in zip(found, vecs))
+                diag["residual_max"] = max(diag.get("residual_max", residual), residual)
+                if ground is None or ground[0] < lev or found[0] < ground[1]:
+                    u = vecs[0]
+                    if parity == "even":
+                        # the full box's dual cells on x = 0 are twice the half's
+                        u[0] *= math.sqrt(2.0)
+                    vec = u[mesh.present]
+                    if parity == "odd":
+                        vec = np.concatenate([vec, -vec])
+                    ground = (lev, found[0], vec)
+            vals += found
+            del level, vecs
+        h = grid.h / 2**lev
+        diag.update(h=h, nodes=nodes[lev])
+        level_values.append((h, tuple(sorted(float(v) for v in vals))))
+        level_diags.append(diag)
 
-    n_common = min(len(v) for _, v in level_values)
+    # the coarsest level holds every box's min(count, its count) values, so
+    # count_below_one when that is below count
+    n_common = min(count, *(len(v) for _, v in level_values))
     level_values = [(h, v[:n_common]) for h, v in level_values]
     fewer = n_common < count
 
@@ -688,11 +652,11 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         unreliable = [True] * n_common
 
     diagnostics = {
-        "count_below_one": below_one,
-        "mirror": dict(zip(parities, counts)) if mirrored else None,
+        "count_below_one": sum(counts.values()) if geometry.windows else None,
+        "mirror": counts if mirrored else None,
         "levels": level_diags,
         "unreliable": unreliable,
-        "perron": _perron_check(ground) if ground is not None else None,
+        "perron": _perron_check(ground[2]) if ground is not None else None,
     }
     if n_common and level_values[-1][1][0] < 1.0:
         kappa = math.sqrt(1.0 - level_values[-1][1][0])
@@ -700,7 +664,6 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
 
     return OracleResult(
         grid=grid,
-        requested=count,
         eigenvalues=level_values[0][1],
         levels=tuple(level_values),
         extrapolated=tuple(extrapolated),

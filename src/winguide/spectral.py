@@ -32,7 +32,6 @@ class ScanRoot:
 
     lam: float
     coeffs: np.ndarray      # flat null vector across window blocks, unit 2-norm
-    branch: int
     residual: float         # |nu(lambda*)| / ||M||_max
 
 
@@ -106,5 +105,5 @@ def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanR
         residual = abs(evals[k]) / max(np.max(np.abs(system.matrix)), 1e-300)
         if residual > 1e-9:
             raise NumericalFailureError(f"root at lambda={lam_star} has branch residual {residual:.3e}")
-        roots.append(ScanRoot(lam_star, evecs[:, k].copy(), k, float(residual)))
+        roots.append(ScanRoot(lam_star, evecs[:, k].copy(), float(residual)))
     return roots

@@ -105,8 +105,14 @@ def test_modes_csv_pair_leaves_c_empty(tmp_path, capsys):
     ],
 )
 def test_out_in_missing_directory_exit_two(
-    single_cfg, double_cfg, tmp_path, capsys, command, extra
+    single_cfg, double_cfg, tmp_path, capsys, monkeypatch, command, extra
 ):
+    # the output path is rejected before the command computes anything
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{command} computed before its --out was checked")
+
+    for name in ("compute_modes", "solve_U", "sweep_l", "fd_eigenvalues", "verify_report"):
+        monkeypatch.setattr(cli, name, computed)
     config = double_cfg if command in ("sweep", "verify") else single_cfg
     out = tmp_path / "missing" / "out.txt"
     assert main([command, config, *extra, "--out", str(out)]) == 2

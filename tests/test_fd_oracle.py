@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from winguide.cli import main
 from winguide.errors import InsufficientDataError, NumericalFailureError, ValidationError
 from winguide.fd_oracle import (
     MAX_MESH_NODES,
-    Extrapolation,
     GridSpec,
     _Mesh,
     _node_count,
@@ -158,9 +158,6 @@ def test_richardson_two_level_classical():
     assert ext.error_estimate == pytest.approx(0.03, abs=1e-15)
     assert ext.order == 2.0
     assert not ext.unreliable
-    # the dataclass unpacks as a (value, error) pair
-    lam, err = ext
-    assert (lam, err) == (ext.lambda_star, ext.error_estimate)
 
 
 def test_richardson_non_monotone_falls_back():
@@ -621,6 +618,34 @@ def test_matches_sparse_reference(case):
     for (_, vals), ref in zip(res.levels, _unshifted_levels(geo, grid, levels, wanted)):
         assert np.max(np.abs(np.array(vals) - ref)) <= 1e-12
     assert res.diagnostics["perron"]["ok"]
+
+
+def test_reductions_are_built_one_at_a_time(monkeypatch):
+    # a = 1, d = 2 traps one mode, and it is even: the even half is reduced on
+    # all three levels, the odd half (count 0) on the coarsest only, and each
+    # reduction is released before the next one is built
+    built = alive = peak = 0
+
+    def release():
+        nonlocal alive
+        alive -= 1
+
+    class Spy(_Reduced):
+        def __init__(self, mesh):
+            nonlocal built, alive, peak
+            built += 1
+            alive += 1
+            peak = max(peak, alive)
+            weakref.finalize(self, release)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(fd_oracle, "_Reduced", Spy)
+    geo = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    res = fd_eigenvalues(geo, GridSpec(0.1, 20.0), 2, levels=3)
+    assert res.diagnostics["mirror"] == {"even": 1, "odd": 0}
+    assert built == 4
+    assert peak == 1
+    assert alive == 0
 
 
 def test_fine_level_takes_few_schur_evaluations(oracle_a15_dpi):
