@@ -436,18 +436,10 @@ def _cross_norm_block(lam: float, left: WindowSpec, right: WindowSpec, d: float,
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Symmetric Galerkin matrix M(lambda) with per-window block layout."""
+    """Symmetric Galerkin matrix M(lambda) with the bound on its quadrature tail."""
 
-    lam: float
     matrix: np.ndarray
-    offsets: tuple[int, ...]
-    geometry: Geometry
-    settings: SolverSettings
     tail_bound: float
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def tail_estimate(lam: float, a: float, xi_max: float, d: float, n: int, m: int) -> float:
@@ -506,8 +498,7 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
             {"tail_bound": worst_tail, "xi_max": settings.xi_max},
         )
     matrix = _block_matrix(lam, geometry, orders, tables, _diagonal_block, _cross_block)
-    offsets = tuple(range(0, orders * (len(tables) + 1), orders))
-    return GalerkinSystem(lam, matrix, offsets, geometry, settings, worst_tail)
+    return GalerkinSystem(matrix, worst_tail)
 
 
 def norm_matrix(lam: float, geometry: Geometry, settings: SolverSettings) -> np.ndarray:

@@ -59,6 +59,17 @@ def _emit(text: str, out: str | None) -> None:
         raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
 
 
+def _out_error(out: str) -> OSError | None:
+    """The error `_emit`'s open gives for an --out in a missing directory or naming one."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    else:
+        return None
+    return OSError(code, os.strerror(code), out)
+
+
 def _sanitize(value):
     """Replace non-finite floats with None so the output is strict JSON."""
     if isinstance(value, float):
@@ -75,16 +86,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _mode_records(modes) -> list[dict]:
-    return [
-        {
-            "index": m.index,
-            "lambda": m.lam,
-            "parity": m.parity,
-            "c": m.c_coeff,
-            "source": "spectral",
-        }
-        for m in modes
-    ]
+    return [{**m.record(), "source": "spectral"} for m in modes]
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
@@ -216,10 +218,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # an --out in a missing directory fails as `_emit` would, before the command runs
-        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-            missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-            raise ValidationError(f"cannot write output file {args.out!r}: {missing}")
+        # an --out that `_emit` cannot open fails as it would, before the command runs
+        error = None if args.out is None else _out_error(args.out)
+        if error is not None:
+            raise ValidationError(f"cannot write output file {args.out!r}: {error}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

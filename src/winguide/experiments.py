@@ -21,7 +21,7 @@ parallel map; records are always emitted in increasing-l order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,20 +124,6 @@ class SweepRecord:
     parities: tuple[str, ...]
     flags: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "eigenvalues": list(self.eigenvalues),
-            "element_index": list(self.element_index),
-            "lambda_star": list(self.lambda_star),
-            "shifts": list(self.shifts),
-            "predictions": [dict(p) for p in self.predictions],
-            "residuals": list(self.residuals),
-            "overlaps": [dict(o) for o in self.overlaps],
-            "parities": list(self.parities),
-            "flags": list(self.flags),
-        }
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -150,20 +136,15 @@ class FitResult:
     n_samples: int
     sign_mixed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "log_prefactor": self.log_prefactor,
-            "r_squared": self.r_squared,
-            "l_range": list(self.l_range),
-            "n_samples": self.n_samples,
-            "sign_mixed": self.sign_mixed,
-        }
-
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Self-contained verification report; `config` reproduces it exactly."""
+    """Self-contained verification report; `config` reproduces it exactly.
+
+    `to_dict` is `dataclasses.asdict`: the keys are the field names in field
+    order, and the sweep records become dicts of their own fields, so a new
+    field reaches the written bundle with no second edit.
+    """
 
     schema_version: int
     config: dict
@@ -179,17 +160,7 @@ class ReportBundle:
         return all(v.get("pass") for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "case": self.case,
-            "single_windows": self.single_windows,
-            "u_problem": self.u_problem,
-            "sweep": [r.to_dict() for r in self.sweep],
-            "fits": self.fits,
-            "verdicts": self.verdicts,
-            "mu_adjudication": self.mu_adjudication,
-        }
+        return asdict(self)
 
 
 def parse_experiment_config(document) -> tuple[SweepConfig, tuple[float, ...], SolverSettings]:
@@ -523,7 +494,7 @@ def _series(records, element_pos: int):
 
 def _fit_or_error(samples, **kwargs):
     try:
-        return fit_exponential(samples, **kwargs).to_dict()
+        return asdict(fit_exponential(samples, **kwargs))
     except InsufficientDataError as exc:
         return {"error": str(exc)}
 
@@ -564,10 +535,7 @@ def verify_report(document) -> ReportBundle:
     for side, half_width in (("minus", config.a_minus), ("plus", config.a_plus)):
         single_windows[side] = {
             "half_width": half_width,
-            "modes": [
-                {"index": m.index, "lambda": m.lam, "parity": m.parity, "c": m.c_coeff}
-                for m in singles[side]
-            ],
+            "modes": [m.record() for m in singles[side]],
         }
 
     fits: dict = {"elements": []}

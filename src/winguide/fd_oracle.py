@@ -171,7 +171,7 @@ def _subdivisions(geometry: Geometry, grid: GridSpec):
 
 
 def _node_count(geometry: Geometry, grid: GridSpec, refine: int) -> int:
-    """The full box's `_Mesh(geometry, grid, refine).n_nodes`, by arithmetic alone (no arrays).
+    """How many unknowns the full box's `_Mesh(geometry, grid, refine)` has, by arithmetic alone.
 
     A mirror-symmetric mesh's even and odd halves have that many nodes together.
     """
@@ -223,7 +223,6 @@ class _Mesh:
     """
 
     def __init__(self, geometry: Geometry, grid: GridSpec, refine: int, parity: str | None = None):
-        self.h_nominal = grid.h / refine
         segments, m_up, m_dn = _subdivisions(geometry, grid)
         if parity is not None:
             segments = _half_segments(geometry, segments)
@@ -245,7 +244,6 @@ class _Mesh:
             in_window |= (self.x > w.left) & (self.x < w.right)
         self.present[:, m_dn] &= in_window  # with no windows row 0 is a wall anyway
         self.interface = m_dn
-        self.n_nodes = int(np.count_nonzero(self.present))
 
 
 def _second_difference(steps: np.ndarray, neumann: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
 
@@ -224,9 +224,7 @@ def serialize_problem(geometry: Geometry, settings: SolverSettings) -> dict:
     """Round-trippable document: parse_problem(serialize_problem(...)) is identity."""
     return {
         "d": geometry.d,
-        "windows": [
-            {"center": w.center, "half_width": w.half_width} for w in geometry.windows
-        ],
+        "windows": [asdict(w) for w in geometry.windows],
         "settings": serialize_settings(settings),
     }
 

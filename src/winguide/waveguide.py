@@ -104,6 +104,10 @@ class Eigenmode:
     c_coeff: float | None
     index: int
 
+    def record(self) -> dict:
+        """The written mode record: index, eigenvalue, parity and edge amplitude c."""
+        return {"index": self.index, "lambda": self.lam, "parity": self.parity, "c": self.c_coeff}
+
 
 @dataclass(frozen=True)
 class USolution:
@@ -119,8 +123,6 @@ class USolution:
 class ModalCoefficients:
     """Transverse-mode amplitudes of a field section x1 = const."""
 
-    side: str                  # 'left' or 'right'
-    section: float
     alpha: np.ndarray          # upper strip, modes sin(j x2), j = 1..j_max
     beta: np.ndarray           # lower strip, modes sin(pi j (x2 + d)/d)
     parseval_residual: float   # relative gap between (pi/2)*sum(alpha^2) and
@@ -303,7 +305,7 @@ def modal_coeffs(
     scale = max(section_norm, 1e-300)
     parseval_residual = abs(modal_norm - section_norm) / scale
 
-    return ModalCoefficients(side, float(section), alpha, beta, parseval_residual)
+    return ModalCoefficients(alpha, beta, parseval_residual)
 
 
 # ---------------------------------------------------------------------------

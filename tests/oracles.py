@@ -312,7 +312,8 @@ def fd_assemble(mesh) -> sparse.csc_matrix:
     C = B^{-1/2} A B^{-1/2}, whose eigenvalues approximate the Dirichlet
     Laplacian's.
     """
-    present, n = mesh.present, mesh.n_nodes
+    present = mesh.present
+    n = np.count_nonzero(present)
     index = np.full(present.shape, -1)
     index[present] = np.arange(n)
     wx = 0.5 * (np.r_[0.0, mesh.hx] + np.r_[mesh.hx, 0.0])
@@ -454,7 +455,6 @@ def reflected_full_mesh(geometry, grid, refine: int) -> SimpleNamespace:
         hy=half.hy,
         present=present,
         interface=half.interface,
-        n_nodes=int(np.count_nonzero(present)),
     )
 
 

@@ -122,6 +122,15 @@ def test_out_in_missing_directory_exit_two(
     assert "Traceback" not in captured.err
     assert not out.parent.exists()
 
+    # an --out that names an existing directory gets the text `_emit`'s open gave
+    assert main([command, config, *extra, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write output file {str(tmp_path)!r}: "
+        f"[Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    )
+
 
 def test_coeff_c_frozen_value(single_cfg, capsys):
     assert main(["coeff-c", single_cfg, "--lambda", "0.5"]) == 0

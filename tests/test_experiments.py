@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, exponential fits, overlap diagnostics, and the CSV export."""
 
+import dataclasses
 import io
 import json
 import math
@@ -12,12 +13,16 @@ import numpy as np
 import pytest
 
 from winguide.assembly import basis_overlap_gram
+from winguide.cli import _json_text
 from winguide.errors import InsufficientDataError, ValidationError
 from winguide.experiments import (
     DEFAULT_DOUBLE_CONFIG,
     DEFAULT_SIMPLE_CONFIG,
+    FitResult,
+    ReportBundle,
     SweepConfig,
     SweepRecord,
+    _fit_or_error,
     _overlap_diagnostics,
     fit_exponential,
     parse_experiment_config,
@@ -193,12 +198,37 @@ def test_sweep_csv_golden():
     assert buf.getvalue() == GOLDEN_CSV
 
 
-def test_sweep_record_roundtrip():
-    rec = _record_double()
-    data = rec.to_dict()
-    assert data["l"] == 4.0
-    assert data["element_index"] == [0, -1]
-    assert data["flags"] == ["unmatched root at lambda=0.999"]
+def test_bundle_json_keys_are_field_names():
+    # the written bundle, its sweep records and its fits carry exactly their
+    # dataclass fields, tuples written as lists and NaN as null
+    fit = _fit_or_error(_decay_samples(1.7, 3.0, [5.0, 6.0, 7.0, 8.0]))
+    bundle = ReportBundle(
+        schema_version=1,
+        config={},
+        case="double",
+        single_windows={},
+        u_problem=[],
+        sweep=(_record_double(), _record_simple()),
+        fits={"elements": [{"shift_fit_rank0": fit}]},
+        verdicts={},
+        mu_adjudication=None,
+    )
+    data = json.loads(_json_text(bundle.to_dict()))
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(data) == names(ReportBundle)
+    assert [set(rec) for rec in data["sweep"]] == [names(SweepRecord)] * 2
+    written_fit = data["fits"]["elements"][0]["shift_fit_rank0"]
+    assert set(written_fit) == names(FitResult)
+    assert written_fit["l_range"] == [5.0, 8.0]
+    double, simple = data["sweep"]
+    assert double["l"] == 4.0
+    assert double["element_index"] == [0, -1]
+    assert double["lambda_star"] == [0.9349, None]
+    assert double["flags"] == ["unmatched root at lambda=0.999"]
+    assert simple["flags"] == []
 
 
 def test_mini_double_sweep_structure():

@@ -1,4 +1,5 @@
-"""Every public function or class in src/ is reached by the product, not only by tests."""
+"""Every public function or class in src/, and every attribute a src/ class stores on
+`self`, is reached by the product, not only by tests."""
 
 import ast
 import pathlib
@@ -27,17 +28,24 @@ def _names(node: ast.AST) -> set[str]:
     return found
 
 
+def _product_trees() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The parsed src/winguide modules by stem, and the non-test winbench files."""
+    modules = {path.stem: _parse(path) for path in sorted((ROOT / "src" / "winguide").glob("*.py"))}
+    bench = [
+        _parse(path) for path in sorted((ROOT / "winbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    return modules, bench
+
+
 def _reached_only_by_tests() -> set[str]:
     """Public top-level functions and classes of src/winguide that no product code names.
 
     A name counts as reached when another src/ module, its own module outside
     its definition, or a winbench file other than its tests refers to it.
     """
-    modules = {path.stem: _parse(path) for path in sorted((ROOT / "src" / "winguide").glob("*.py"))}
-    bench = set().union(*(
-        _names(_parse(path)) for path in (ROOT / "winbench").glob("*.py")
-        if not path.name.startswith("test_")
-    ))
+    modules, bench_trees = _product_trees()
+    bench = set().union(*(_names(tree) for tree in bench_trees))
     unreached = set()
     for stem, tree in modules.items():
         reached = bench.union(*(_names(t) for s, t in modules.items() if s != stem))
@@ -54,3 +62,38 @@ def test_no_public_src_function_is_reached_only_by_tests():
     # a name outside ALLOWED belongs in tests/; a stale ALLOWED entry would
     # let a later test-only function hide behind it
     assert _reached_only_by_tests() == ALLOWED
+
+
+def _attributes_stored_never_loaded() -> set[str]:
+    """Attributes that src/ classes store on `self` but no product code reads.
+
+    A read is an attribute load of that name anywhere in src/winguide or in a
+    winbench file other than its tests.
+    """
+    modules, bench = _product_trees()
+    loaded = {
+        sub.attr
+        for tree in [*modules.values(), *bench]
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = set()
+    for stem, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for sub in ast.walk(cls):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and sub.attr not in loaded
+                ):
+                    unread.add(f"{stem}.{cls.name}.{sub.attr}")
+    return unread
+
+
+def test_no_attribute_stored_on_self_is_read_only_by_tests():
+    # an attribute that only tests read belongs in tests/, computed there
+    assert _attributes_stored_never_loaded() == set()
