@@ -151,7 +151,7 @@ def beta_matrix(a: float, orders: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_exp_rhs(lam: float, window: WindowSpec, kappa: float, orientation: int, order: int = 32):
+def assemble_exp_rhs(lam: float, window: WindowSpec, kappa: float, orientation: int, order: int):
     """Moments g_n = int b_n(t) e^{sigma kappa (t - c)} dt of an exponential datum.
 
     Closed form pi a^2 (n+1) sigma^n I_{n+1}(a kappa)/(a kappa); orientation
@@ -246,8 +246,8 @@ class _WindowTable:
     moments: np.ndarray       # (6, orders, orders): sum_far w beta beta^T xi^(1-2k)/pi
 
 
-# 27 times the largest table any test or workload builds (37,368 nodes: a = 3,
-# xi_max = 800); the beta table holds `orders` doubles per node
+# 53x the largest default-settings table (18,684 nodes: a = 3, xi_max = 800), 27x
+# the largest a test builds (37,368 at 24 points); beta holds `orders` doubles a node
 MAX_TABLE_NODES = 1_000_000
 
 

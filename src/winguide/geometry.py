@@ -80,7 +80,7 @@ class SolverSettings:
     threshold_margin: float = 1e-6
     lambda_floor: float = 1e-2
     xi_max: float = 200.0
-    panel_points: int = 24
+    panel_points: int = 12
     panel_width: float = 1.0
     bisect_tol: float = 1e-12
 

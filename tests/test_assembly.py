@@ -287,7 +287,9 @@ _BLOCK_LAMBDAS = np.linspace(SolverSettings().lambda_floor, SolverSettings().lam
 @pytest.mark.parametrize("d", [0.5, 2.0, math.pi])
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.2, 3.0])
 def test_diagonal_blocks_match_full_quadrature(a, d):
-    settings = SolverSettings()
+    # 24 points per panel: at 12 the rounding of both GEMMs (about 2e-15 of
+    # max|want|, against a long-double sum) exceeds the 1e-15 bound
+    settings = SolverSettings(panel_points=24)
     table = assembly._window_table(a, settings.basis_order, settings, assembly._far_cut(d))
     assert table.nodes[table.near - 1] < assembly._far_cut(d) <= table.nodes[table.near]
     for lam in _BLOCK_LAMBDAS:

@@ -11,6 +11,7 @@ import pytest
 from winguide import cli
 from winguide.cli import main
 from winguide.errors import ValidationError, WaveguideError
+from winguide.geometry import SolverSettings
 
 LAMBDA1_A1_D2 = 0.934889771227259
 U_C_AT_HALF = -0.5274006716845234
@@ -221,7 +222,7 @@ def test_basis_order_beyond_ceiling_exit_two(tmp_path, capsys):
 def test_oversized_window_table_exit_two_before_any_table(
     tmp_path, capsys, monkeypatch, window, quadrature
 ):
-    # the tables would need 3e9, 2e10 and 5e12 nodes (780 GB of beta and up);
+    # the tables would need 1.5e9, 1.2e10 and 2.4e12 nodes (390 GB of beta and up);
     # the panels are counted before any array is built
     from winguide import assembly
 
@@ -236,7 +237,7 @@ def test_oversized_window_table_exit_two_before_any_table(
     assert main(["modes", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert f"more than {assembly.MAX_TABLE_NODES // 24}" in err
+    assert f"more than {assembly.MAX_TABLE_NODES // SolverSettings().panel_points}" in err
     assert "Traceback" not in err
 
 

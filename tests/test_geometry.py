@@ -30,6 +30,7 @@ def test_parse_single_window_defaults():
     assert len(geometry.windows) == 1
     assert geometry.windows[0].half_width == 1.0
     assert settings.basis_order == 32
+    assert settings.panel_points == 12
     assert settings.threshold_margin == 1e-6
 
 

@@ -293,7 +293,7 @@ def test_window_table_shared_by_far_cut_not_d():
         assert assembly._build_window_table.cache_info().misses == misses + new
 
 
-@pytest.mark.parametrize("a, size", [(1.0, 19_920), (1.2, 19_920), (3.0, 37_368)])
+@pytest.mark.parametrize("a, size", [(1.0, 9_960), (1.2, 9_960), (3.0, 18_684)])
 def test_energy_table_has_no_far_nodes(monkeypatch, a, size):
     # the quadrature norm routes read the xi_max = 800 table; cut at its
     # xi_max it holds no far node, so no far-moment product is built for it
@@ -312,5 +312,5 @@ def test_energy_table_has_no_far_nodes(monkeypatch, a, size):
         assert table.nodes.size == size
         assert table.near == table.nodes.size
         assert not table.moments.any()
-    if a <= 1.2:  # the far moments would have spanned 18,632 of these nodes
-        assert np.count_nonzero(seen[0].nodes >= assembly._far_cut(2.0)) == 18_632
+    if a <= 1.2:  # the far moments would have spanned 9,316 of these nodes
+        assert np.count_nonzero(seen[0].nodes >= assembly._far_cut(2.0)) == 9_316
