@@ -370,11 +370,16 @@ def cross_kernel_series(lam: float, d: float, gap: float):
     return np.concatenate(kappas), np.concatenate(amps)
 
 
-def _scaled_moments(a: float, orders: int, kappas: np.ndarray) -> np.ndarray:
-    """g_n(kappa) e^{-a kappa}: moments pi a^2 (n+1) I_{n+1}(a k)/(a k), ive-scaled."""
-    x = a * kappas
+def _scaled_moments(widths, orders: int, kappas: np.ndarray) -> list[np.ndarray]:
+    """g_n(kappa) e^{-a kappa} = pi a^2 (n+1) I_{n+1}(a k)/(a k) e^{-a k} per half-width a.
+
+    One (orders, kappas.size) block per entry of `widths`, all from a single
+    ive call on the concatenated arguments a kappa.
+    """
+    x = np.multiply.outer(widths, kappas)
+    values = ive(orders, x.ravel()).reshape(orders, *x.shape)
     n = np.arange(1.0, orders + 1.0)[:, None]
-    return np.pi * a * a * n * ive(orders, x) / x
+    return [np.pi * a * a * n * v / xa for a, v, xa in zip(widths, values.swapaxes(0, 1), x)]
 
 
 def _cross_series(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int):
@@ -382,10 +387,9 @@ def _cross_series(lam: float, left: WindowSpec, right: WindowSpec, d: float, ord
     sep = right.center - left.center
     gap = sep - left.half_width - right.half_width
     kappas, amps = cross_kernel_series(lam, d, gap)
-    g_left = _scaled_moments(left.half_width, orders, kappas)
-    same = right.half_width == left.half_width  # one ive pass serves both windows
-    g_right = g_left if same else _scaled_moments(right.half_width, orders, kappas)
-    return sep, kappas, amps * np.exp(-kappas * gap), g_left, g_right
+    widths = dict.fromkeys((left.half_width, right.half_width))  # a mirrored pair has one
+    moments = _scaled_moments(list(widths), orders, kappas)
+    return sep, kappas, amps * np.exp(-kappas * gap), moments[0], moments[-1]
 
 
 def _cross_block(lam: float, left: WindowSpec, right: WindowSpec, d: float, orders: int) -> np.ndarray:
@@ -455,25 +459,30 @@ def tail_estimate(lam: float, a: float, xi_max: float, d: float, n: int, m: int)
     return alg + expo
 
 
-def _window_tables(geometry: Geometry, settings: SolverSettings) -> list[_WindowTable]:
+def _window_tables(geometry: Geometry, settings: SolverSettings) -> dict[float, _WindowTable]:
+    """The table of each distinct half-width, in window order."""
     xi0 = _far_cut(geometry.d)
-    return [
-        _window_table(w.half_width, settings.basis_order, settings, xi0) for w in geometry.windows
-    ]
+    widths = dict.fromkeys(w.half_width for w in geometry.windows)
+    return {a: _window_table(a, settings.basis_order, settings, xi0) for a in widths}
 
 
 def _block_matrix(
-    lam: float, geometry: Geometry, orders: int, tables: list[_WindowTable], diagonal, cross
+    lam: float, geometry: Geometry, orders: int, tables: dict[float, _WindowTable], diagonal, cross
 ) -> np.ndarray:
-    """Symmetric matrix of per-window diagonal blocks and mirrored upper cross blocks."""
+    """Symmetric matrix of per-window diagonal blocks and mirrored upper cross blocks.
+
+    Each distinct half-width's diagonal block is computed once and copied into
+    the slot of every window of that width.
+    """
     windows = geometry.windows
+    blocks = {a: diagonal(lam, table, geometry.d) for a, table in tables.items()}
     out = np.zeros((orders * len(windows),) * 2)
-    for i, table in enumerate(tables):
+    for i, window in enumerate(windows):
         rows = slice(i * orders, (i + 1) * orders)
-        out[rows, rows] = diagonal(lam, table, geometry.d)
+        out[rows, rows] = blocks[window.half_width]
         for j in range(i + 1, len(windows)):
             cols = slice(j * orders, (j + 1) * orders)
-            out[rows, cols] = cross(lam, windows[i], windows[j], geometry.d, orders)
+            out[rows, cols] = cross(lam, window, windows[j], geometry.d, orders)
             out[cols, rows] = out[rows, cols].T
     return out
 
@@ -489,8 +498,7 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
     orders = settings.basis_order
     tables = _window_tables(geometry, settings)  # oversized tables fail before the tail check
     worst_tail = max(
-        tail_estimate(lam, w.half_width, settings.xi_max, geometry.d, orders - 1, orders - 1)
-        for w in geometry.windows
+        tail_estimate(lam, a, settings.xi_max, geometry.d, orders - 1, orders - 1) for a in tables
     )
     if worst_tail > 1e-8:
         raise AccuracyError(

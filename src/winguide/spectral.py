@@ -79,14 +79,22 @@ def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanR
     The inertia of M at the two ends of the band counts the roots; each root
     is refined by Brent's method on its own branch to settings.bisect_tol from
     the tightest sign-change bracket among all branch values computed so far.
-    The trace coefficients are the null vector of the branch at its root.
+    The trace coefficients are the null vector of the branch at its root. The
+    root is one of Brent's samples, so each search keeps the M(lambda) of its
+    sample with the smallest |nu_k| and assembles again only if the root is
+    another sample.
     """
     samples: list[tuple[float, np.ndarray]] = []
+    nearest = None  # (|nu_k|, lambda, M(lambda)) of the current search's best sample
 
-    def branches(lam: float) -> np.ndarray:
+    def branches(lam: float, k: int | None = None) -> np.ndarray:
+        nonlocal nearest
         lam = float(lam)
-        values = np.linalg.eigvalsh(assemble_galerkin(lam, geometry, settings).matrix)
+        system = assemble_galerkin(lam, geometry, settings)
+        values = np.linalg.eigvalsh(system.matrix)
         samples.append((lam, values))
+        if k is not None and (nearest is None or abs(values[k]) < nearest[0]):
+            nearest = (abs(values[k]), lam, system)
         return values
 
     lo, hi = settings.lambda_floor, settings.lambda_max
@@ -99,8 +107,10 @@ def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanR
         # and the highest sample below it with nu_k > 0
         b, fb = min((lam, v[k]) for lam, v in samples if v[k] <= 0.0)
         a, fa = max((lam, v[k]) for lam, v in samples if lam < b and v[k] > 0.0)
-        lam_star = float(_brent(lambda lam: branches(lam)[k], a, b, fa, fb, settings.bisect_tol))
-        system = assemble_galerkin(lam_star, geometry, settings)
+        nearest = None
+        lam_star = float(_brent(lambda lam: branches(lam, k)[k], a, b, fa, fb, settings.bisect_tol))
+        reuse = nearest is not None and nearest[1] == lam_star
+        system = nearest[2] if reuse else assemble_galerkin(lam_star, geometry, settings)
         evals, evecs = np.linalg.eigh(system.matrix)
         residual = abs(evals[k]) / max(np.max(np.abs(system.matrix)), 1e-300)
         if residual > 1e-9:

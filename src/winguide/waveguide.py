@@ -234,7 +234,7 @@ def _mode_amplitudes(trace: TraceFunction, x1: float, strip_width: float):
         x = trace.window_coeffs(i)
         sigma = 1.0 if x1 > w.center else -1.0
         signs = sigma ** np.arange(trace.order)
-        moments = _scaled_moments(w.half_width, trace.order, kappas)
+        (moments,) = _scaled_moments([w.half_width], trace.order, kappas)
         t += ((x * signs) @ moments) * np.exp(-kappas * dists[i])
     if strip_width == np.pi:
         amps = j / (np.pi * kappas) * t

@@ -19,8 +19,8 @@ from scipy.sparse import linalg
 from scipy.special import eval_chebyu, jv
 
 from fields import evaluate_field_grid
-from winguide import fd_oracle
-from winguide.assembly import sub_symbol
+from winguide import assembly, fd_oracle, spectral
+from winguide.assembly import assemble_galerkin, sub_symbol
 from winguide.errors import NumericalFailureError, ValidationError
 from winguide.specfun import (
     _as_farray,
@@ -144,6 +144,58 @@ def diagonal_norm_block_full(lam: float, table, d: float) -> np.ndarray:
     block += np.pi * table.a ** 2 * np.outer(n + 1.0, n + 1.0) * table.t3
     block *= table.sign
     return 0.5 * (block + block.T)
+
+
+def block_matrix_per_window(lam: float, geometry, settings, diagonal, cross) -> np.ndarray:
+    """M(lambda) or G = -dM/dlambda block by block, each window's diagonal block computed anew.
+
+    `diagonal` and `cross` are the assembly's block functions; every window
+    looks up its own table and gets its own diagonal block, equal widths or not.
+    """
+    orders = settings.basis_order
+    windows = geometry.windows
+    xi0 = assembly._far_cut(geometry.d)
+    out = np.zeros((orders * len(windows),) * 2)
+    for i, left in enumerate(windows):
+        rows = slice(i * orders, (i + 1) * orders)
+        table = assembly._window_table(left.half_width, orders, settings, xi0)
+        out[rows, rows] = diagonal(lam, table, geometry.d)
+        for j in range(i + 1, len(windows)):
+            cols = slice(j * orders, (j + 1) * orders)
+            out[rows, cols] = cross(lam, left, windows[j], geometry.d, orders)
+            out[cols, rows] = out[rows, cols].T
+    return out
+
+
+def scan_reassembling_roots(geometry, settings) -> list:
+    """spectral.scan_eigenvalues with M(lambda*) assembled afresh at every root.
+
+    The same inertia counts, brackets and Brent searches; only the matrix
+    behind each root's eigh is a new assembly rather than a search sample's.
+    """
+    samples = []
+
+    def branches(lam: float) -> np.ndarray:
+        lam = float(lam)
+        values = np.linalg.eigvalsh(assemble_galerkin(lam, geometry, settings).matrix)
+        samples.append((lam, values))
+        return values
+
+    lo, hi = settings.lambda_floor, settings.lambda_max
+    first = int(np.count_nonzero(branches(np.nextafter(lo, hi)) <= 0.0))
+    last = int(np.count_nonzero(branches(np.nextafter(hi, lo)) <= 0.0))
+    roots = []
+    for k in range(first, last):
+        b, fb = min((lam, v[k]) for lam, v in samples if v[k] <= 0.0)
+        a, fa = max((lam, v[k]) for lam, v in samples if lam < b and v[k] > 0.0)
+        lam_star = float(
+            spectral._brent(lambda lam: branches(lam)[k], a, b, fa, fb, settings.bisect_tol)
+        )
+        matrix = assemble_galerkin(lam_star, geometry, settings).matrix
+        evals, evecs = np.linalg.eigh(matrix)
+        residual = abs(evals[k]) / max(np.max(np.abs(matrix)), 1e-300)
+        roots.append(spectral.ScanRoot(lam_star, evecs[:, k].copy(), float(residual)))
+    return roots
 
 
 def window_t3_loop(a: float, xi_max: float, nodes, weights, beta, tail_00) -> np.ndarray:

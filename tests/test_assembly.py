@@ -219,22 +219,86 @@ def test_norm_matrix_symmetric_positive_definite(case):
 
 
 @pytest.mark.parametrize("b", [1.0, 0.7])
-def test_cross_blocks_compute_moments_once_per_half_width(monkeypatch, b):
-    # one _scaled_moments call per distinct half-width of the pair
-    counted = []
+def test_cross_blocks_call_ive_once_per_block(monkeypatch, b):
+    # one ive pass per cross block, over every distinct half-width's a kappa;
+    # diagonal blocks and window tables call no ive
+    sizes = []
 
-    def count(*args):
-        counted.append(args[0])
-        return scaled(*args)
+    def count(orders, x):
+        sizes.append(np.size(x))
+        return ive(orders, x)
 
-    scaled = assembly._scaled_moments
-    monkeypatch.setattr(assembly, "_scaled_moments", count)
-    geometry = Geometry(d=2.0, windows=(WindowSpec(-3.0, 1.0), WindowSpec(3.0, b)))
+    ive = assembly.ive
+    monkeypatch.setattr(assembly, "ive", count)
     settings = SolverSettings(basis_order=12)
-    for build in (assemble_galerkin, norm_matrix):
-        counted.clear()
+    pair = (WindowSpec(-3.0, 1.0), WindowSpec(3.0, b))
+    triple = (WindowSpec(-6.0, 1.0), WindowSpec(0.0, b), WindowSpec(6.0, 1.0))
+    for windows in (pair, triple):
+        geometry = Geometry(d=2.0, windows=windows)
+        want = []
+        for i, left in enumerate(windows):
+            for right in windows[i + 1 :]:
+                gap = right.center - left.center - left.half_width - right.half_width
+                kappas, _ = assembly.cross_kernel_series(0.6, 2.0, gap)
+                want.append(len({left.half_width, right.half_width}) * kappas.size)
+        for build in (assemble_galerkin, norm_matrix):
+            sizes.clear()
+            build(0.6, geometry, settings)
+            assert sizes == want
+
+
+@pytest.mark.parametrize("orders", [32, 33])
+@pytest.mark.parametrize("widths", [(1.2, 0.8), (1.0, 0.7), (3.0, 0.5), (0.1, 2.0)])
+def test_merged_moment_pass_matches_per_width(widths, orders):
+    # the merged pass starts Miller's recurrence at the larger a kappa, which
+    # moves each entry by rounding only
+    for gap in (0.05, 0.5, 2.0, 10.0):
+        for lam in (0.02, 0.5, 0.9, 1.0 - 1e-6):
+            kappas, _ = assembly.cross_kernel_series(lam, 2.0, gap)
+            merged = assembly._scaled_moments(list(widths), orders, kappas)
+            for a, got in zip(widths, merged):
+                (want,) = assembly._scaled_moments([a], orders, kappas)
+                assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want).max(axis=0))
+
+
+@pytest.mark.parametrize(
+    "windows, distinct",
+    [
+        ((WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)), 1),
+        ((WindowSpec(-2.5, 1.2), WindowSpec(2.5, 0.8)), 2),
+        ((WindowSpec(-6.0, 1.0), WindowSpec(0.0, 0.7), WindowSpec(6.0, 1.0)), 2),
+    ],
+)
+def test_one_diagonal_block_per_distinct_window(monkeypatch, windows, distinct):
+    calls = []
+    for name in ("_diagonal_block", "_diagonal_norm_block"):
+        block = getattr(assembly, name)
+
+        def spy(lam, table, d, name=name, block=block):
+            calls.append(name)
+            return block(lam, table, d)
+
+        monkeypatch.setattr(assembly, name, spy)
+    geometry = Geometry(d=2.0, windows=windows)
+    settings = SolverSettings(basis_order=12)
+    for name, build in (("_diagonal_block", assemble_galerkin), ("_diagonal_norm_block", norm_matrix)):
+        calls.clear()
         build(0.6, geometry, settings)
-        assert sorted(counted) == sorted({1.0, b})
+        assert calls == [name] * distinct
+
+
+def test_mirrored_pair_matches_window_by_window_assembly():
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)))
+    settings = SolverSettings()
+    for lam in (0.3, 0.9, 0.999):
+        m = oracles.block_matrix_per_window(
+            lam, geometry, settings, assembly._diagonal_block, assembly._cross_block
+        )
+        g = oracles.block_matrix_per_window(
+            lam, geometry, settings, assembly._diagonal_norm_block, assembly._cross_norm_block
+        )
+        assert assemble_galerkin(lam, geometry, settings).matrix.tobytes() == m.tobytes()
+        assert norm_matrix(lam, geometry, settings).tobytes() == g.tobytes()
 
 
 def test_window_table_cache_bounded_and_rebuild_bitwise():

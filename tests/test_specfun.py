@@ -113,7 +113,7 @@ def test_bessel_i_values():
             )
     for order in (1, 2, 6):
         for x in (0.4, 2.0, 8.0):
-            scaled = _scaled_moments(1.0, order, np.array([x]))[-1, 0] * x / (np.pi * order)
+            scaled = _scaled_moments([1.0], order, np.array([x]))[0][-1, 0] * x / (np.pi * order)
             assert scaled * np.exp(x) == pytest.approx(
                 oracles.bessel_i_series(order, x), rel=1e-10
             )

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import jacobi_eig
-from winguide import assembly
+from winguide import assembly, spectral
 from winguide.assembly import assemble_galerkin
 from winguide.errors import ThresholdError, ValidationError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
@@ -141,6 +142,38 @@ def test_scan_independent_of_table_cache():
     warm = scan_eigenvalues(geometry, SolverSettings())
     assert [r.lam for r in cold] == [r.lam for r in warm]
     assert all(np.array_equal(c.coeffs, w.coeffs) for c, w in zip(cold, warm))
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [
+        (WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)),
+        (WindowSpec(-2.5, 1.2), WindowSpec(2.5, 0.8)),
+    ],
+)
+def test_scan_assembles_each_lambda_once(monkeypatch, windows):
+    # each root reuses the M(lambda*) of its Brent sample instead of a new assembly
+    geometry = Geometry(d=2.0, windows=windows)
+    seen = {"scan": [], "reference": []}
+
+    def spy(key):
+        def assemble(lam, *args):
+            seen[key].append(lam)
+            return assemble_galerkin(lam, *args)
+
+        return assemble
+
+    monkeypatch.setattr(spectral, "assemble_galerkin", spy("scan"))
+    monkeypatch.setattr(oracles, "assemble_galerkin", spy("reference"))
+    roots = scan_eigenvalues(geometry, SolverSettings())
+    want = oracles.scan_reassembling_roots(geometry, SolverSettings())
+    assert len(roots) >= 2
+    assert len(set(seen["scan"])) == len(seen["scan"])
+    assert len(seen["scan"]) == len(seen["reference"]) - len(roots)
+    for got, ref in zip(roots, want, strict=True):
+        assert got.lam == ref.lam
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert got.residual == ref.residual
 
 
 def test_eigenvalues_invariant_under_reflection():
