@@ -64,7 +64,6 @@ __all__ = [
     "assemble_exp_rhs",
     "assemble_galerkin",
     "norm_matrix",
-    "GalerkinSystem",
     "basis_overlap_gram",
     "tail_estimate",
     "gl_panels",
@@ -438,14 +437,6 @@ def _cross_norm_block(lam: float, left: WindowSpec, right: WindowSpec, d: float,
     return -slope * np.where(n.T % 2 == 0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class GalerkinSystem:
-    """Symmetric Galerkin matrix M(lambda) with the bound on its quadrature tail."""
-
-    matrix: np.ndarray
-    tail_bound: float
-
-
 def tail_estimate(lam: float, a: float, xi_max: float, d: float, n: int, m: int) -> float:
     """Upper bound on the neglected integral beyond xi_max for entry (n, m).
 
@@ -487,8 +478,8 @@ def _block_matrix(
     return out
 
 
-def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) -> GalerkinSystem:
-    """Assemble the symmetric system matrix M(lambda) for all windows."""
+def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) -> np.ndarray:
+    """The symmetric matrix M(lambda); a tail bound above 1e-8 raises AccuracyError."""
     if not (settings.lambda_floor < lam < settings.lambda_max):
         raise ThresholdError(
             f"lambda = {lam} outside admissible ({settings.lambda_floor}, {settings.lambda_max})"
@@ -505,8 +496,7 @@ def assemble_galerkin(lam: float, geometry: Geometry, settings: SolverSettings) 
             "quadrature tail beyond xi_max exceeds tolerance; increase quadrature.xi_max",
             {"tail_bound": worst_tail, "xi_max": settings.xi_max},
         )
-    matrix = _block_matrix(lam, geometry, orders, tables, _diagonal_block, _cross_block)
-    return GalerkinSystem(matrix, worst_tail)
+    return _block_matrix(lam, geometry, orders, tables, _diagonal_block, _cross_block)
 
 
 def norm_matrix(lam: float, geometry: Geometry, settings: SolverSettings) -> np.ndarray:

@@ -34,8 +34,6 @@ class AsymptoticPrediction:
     lambda_star: float
     kind: str                       # 'simple' or 'double'
     kappa: float
-    rho: float
-    tau: int
     mu: float | None                # double case
     mu_variants: tuple[float, float] | None   # simple case: (printed, derived)
     predicted: Callable[[float], object]
@@ -79,7 +77,7 @@ def simple_prediction(
     consistent with a strictly negative shift. The remainder is
     O(l^2 e^{-8 kappa l} + e^{-2 l (kappa + rho)}).
     """
-    kappa, rho, tau = decay_params(lambda_star, d)
+    kappa, _, tau = decay_params(lambda_star, d)
     mu_printed = tau * np.pi * kappa * c_host * c_other ** 2
     mu_derived = tau * np.pi * kappa * c_host ** 2 * c_other
 
@@ -91,7 +89,7 @@ def simple_prediction(
         }
 
     return AsymptoticPrediction(
-        lambda_star, "simple", kappa, rho, tau, None,
+        lambda_star, "simple", kappa, None,
         (float(mu_printed), float(mu_derived)), predicted,
     )
 
@@ -107,11 +105,11 @@ def double_prediction(
     the pair may instead remain one double eigenvalue. The remainder is
     O(l e^{-4 kappa l} + e^{-2 rho l}).
     """
-    kappa, rho, tau = decay_params(lambda_star, d)
+    kappa, _, tau = decay_params(lambda_star, d)
     mu = (-1.0) ** (m + 1) * tau * np.pi * kappa * c_minus * c_plus
 
     def predicted(l: float):
         shift = abs(mu) * np.exp(-2.0 * kappa * l)
         return float(lambda_star + shift), float(lambda_star - shift)
 
-    return AsymptoticPrediction(lambda_star, "double", kappa, rho, tau, float(mu), None, predicted)
+    return AsymptoticPrediction(lambda_star, "double", kappa, float(mu), None, predicted)

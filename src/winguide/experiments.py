@@ -274,7 +274,7 @@ def _build_elements(config: SweepConfig, settings: SolverSettings):
     elements = []
     if config.case == "double":
         for m, mode in enumerate(singles["minus"], start=1):
-            coeffs = mode.trace.window_coeffs(0)
+            coeffs = mode.trace.coeffs[0]
             pred = double_prediction(mode.lam, mode.c_coeff, mode.c_coeff, m, config.d)
             elements.append(_StarElement(pred, {"minus": coeffs, "plus": coeffs}))
     else:
@@ -293,7 +293,7 @@ def _build_elements(config: SweepConfig, settings: SolverSettings):
                     }
                 )
                 pred = simple_prediction(mode.lam, mode.c_coeff, u.c, config.d)
-                elements.append(_StarElement(pred, {side: mode.trace.window_coeffs(0)}))
+                elements.append(_StarElement(pred, {side: mode.trace.coeffs[0]}))
     elements.sort(key=lambda e: e.lambda_star)
     return singles, elements, u_entries
 
@@ -311,11 +311,11 @@ def _overlap_diagnostics(trace, host_coeffs: dict, grams) -> dict:
     weights = {}
     norm_sq = resid_sq = 0.0
     for block, (side, g) in enumerate(zip(("minus", "plus"), grams)):
-        x = trace.window_coeffs(block)
+        x = trace.coeffs[block]
         norm_sq += float(x @ g @ x)
         r = x
         if side in host_coeffs:
-            c = np.asarray(host_coeffs[side])
+            c = host_coeffs[side]
             cg = c @ g
             weights[side] = float(cg @ x / (cg @ c))
             r = x - weights[side] * c

@@ -117,7 +117,6 @@ class OracleResult:
     levels: tuple[tuple[float, tuple[float, ...]], ...]
     extrapolated: tuple[float, ...]
     error_estimates: tuple[float, ...]
-    fewer_than_requested: bool
     diagnostics: dict
 
     def to_records(self) -> list[dict]:
@@ -635,7 +634,6 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
     # count_below_one when that is below count
     n_common = min(count, *(len(v) for _, v in level_values))
     level_values = [(h, v[:n_common]) for h, v in level_values]
-    fewer = n_common < count
 
     if levels >= 2 and n_common > 0:
         extrapolated, estimates, unreliable = [], [], []
@@ -666,7 +664,6 @@ def fd_eigenvalues(geometry: Geometry, grid: GridSpec, count: int, levels: int =
         levels=tuple(level_values),
         extrapolated=tuple(extrapolated),
         error_estimates=tuple(estimates),
-        fewer_than_requested=fewer,
         diagnostics=diagnostics,
     )
 

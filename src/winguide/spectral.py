@@ -28,10 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanRoot:
-    """A zero of an ordered eigenvalue branch of M(lambda)."""
+    """A zero of an ordered eigenvalue branch of M(lambda), with its null vector."""
 
     lam: float
-    coeffs: np.ndarray      # flat null vector across window blocks, unit 2-norm
+    coeffs: np.ndarray      # read-only (windows, N) null vector, unit 2-norm
     residual: float         # |nu(lambda*)| / ||M||_max
 
 
@@ -90,11 +90,11 @@ def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanR
     def branches(lam: float, k: int | None = None) -> np.ndarray:
         nonlocal nearest
         lam = float(lam)
-        system = assemble_galerkin(lam, geometry, settings)
-        values = np.linalg.eigvalsh(system.matrix)
+        matrix = assemble_galerkin(lam, geometry, settings)
+        values = np.linalg.eigvalsh(matrix)
         samples.append((lam, values))
         if k is not None and (nearest is None or abs(values[k]) < nearest[0]):
-            nearest = (abs(values[k]), lam, system)
+            nearest = (abs(values[k]), lam, matrix)
         return values
 
     lo, hi = settings.lambda_floor, settings.lambda_max
@@ -110,10 +110,12 @@ def scan_eigenvalues(geometry: Geometry, settings: SolverSettings) -> list[ScanR
         nearest = None
         lam_star = float(_brent(lambda lam: branches(lam, k)[k], a, b, fa, fb, settings.bisect_tol))
         reuse = nearest is not None and nearest[1] == lam_star
-        system = nearest[2] if reuse else assemble_galerkin(lam_star, geometry, settings)
-        evals, evecs = np.linalg.eigh(system.matrix)
-        residual = abs(evals[k]) / max(np.max(np.abs(system.matrix)), 1e-300)
+        matrix = nearest[2] if reuse else assemble_galerkin(lam_star, geometry, settings)
+        evals, evecs = np.linalg.eigh(matrix)
+        residual = abs(evals[k]) / max(np.max(np.abs(matrix)), 1e-300)
         if residual > 1e-9:
             raise NumericalFailureError(f"root at lambda={lam_star} has branch residual {residual:.3e}")
-        roots.append(ScanRoot(lam_star, evecs[:, k].copy(), float(residual)))
+        coeffs = evecs[:, k].reshape(len(geometry.windows), -1).copy()
+        coeffs.flags.writeable = False
+        roots.append(ScanRoot(lam_star, coeffs, float(residual)))
     return roots

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Geometry, SolverSettings, WindowSpec
-from .spectral import ScanRoot, scan_eigenvalues
+from .spectral import scan_eigenvalues
 from .specfun import grad_weight, mode_kappa, norm_weight
 
 # The far route (modal_coeffs) is the product; the near-zone field route is
@@ -50,7 +50,6 @@ __all__ = [
     "Eigenmode",
     "USolution",
     "ModalCoefficients",
-    "trace_from_root",
     "modal_coeffs",
     "normalize_mode",
     "coeff_c",
@@ -64,34 +63,31 @@ _FAR_MARGIN = 0.5          # beyond this distance from every window: far zone
 _SERIES_LOG_CUT = 42.0     # e^-42, relative truncation of the mode series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceFunction:
-    """Interface trace in edge-basis coefficients, one tuple per window."""
+    """Interface trace in edge-basis coefficients, one row per window; compared by identity."""
 
     lam: float
     geometry: Geometry
-    coeffs: tuple[tuple[float, ...], ...]
+    coeffs: np.ndarray          # read-only (windows, N) float64 copy of the given blocks
     normalized: bool = False
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.geometry.windows):
+        try:
+            coeffs = np.array(self.coeffs, dtype=float)
+        except ValueError as exc:  # ragged blocks
+            raise ValidationError(f"coefficient blocks must share one length: {exc}") from exc
+        if coeffs.ndim != 2 or coeffs.shape[0] != len(self.geometry.windows) or not coeffs.size:
             raise ValidationError(
-                f"{len(self.coeffs)} coefficient blocks for "
-                f"{len(self.geometry.windows)} windows"
+                f"coefficients of shape {coeffs.shape} for {len(self.geometry.windows)} "
+                "windows: want one block of positive length per window"
             )
-        orders = {len(c) for c in self.coeffs}
-        if len(orders) != 1 or 0 in orders:
-            raise ValidationError("coefficient blocks must share a positive length")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs[0])
-
-    def window_coeffs(self, i: int) -> np.ndarray:
-        return np.asarray(self.coeffs[i], dtype=float)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.window_coeffs(i) for i in range(len(self.coeffs))])
+        return self.coeffs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -127,16 +123,6 @@ class ModalCoefficients:
     beta: np.ndarray           # lower strip, modes sin(pi j (x2 + d)/d)
     parseval_residual: float   # relative gap between (pi/2)*sum(alpha^2) and
                                # the quadrature L2 norm of the upper section
-
-
-def trace_from_root(root: ScanRoot, geometry: Geometry) -> TraceFunction:
-    flat = np.asarray(root.coeffs, dtype=float)
-    n_win = len(geometry.windows)
-    if flat.size % n_win:
-        raise ValidationError("coefficient vector does not split evenly over windows")
-    order = flat.size // n_win
-    blocks = tuple(tuple(flat[i * order:(i + 1) * order]) for i in range(n_win))
-    return TraceFunction(root.lam, geometry, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +173,7 @@ def _single_window_quadrature(trace: TraceFunction):
     a = trace.geometry.windows[0].half_width
     # cut at xi_max: every node is near, so the table builds no far moments
     table = _window_table(a, trace.order, _ENERGY_QUADRATURE, _ENERGY_QUADRATURE.xi_max)
-    return table.nodes, table.weights, *_eo(trace.window_coeffs(0), table.beta)
+    return table.nodes, table.weights, *_eo(trace.coeffs[0], table.beta)
 
 
 def _field_sq(trace: TraceFunction) -> float:
@@ -198,7 +184,7 @@ def _field_sq(trace: TraceFunction) -> float:
 
 def _grad_sq(trace: TraceFunction) -> float:
     nodes, weights, e, o = _single_window_quadrature(trace)
-    x = trace.window_coeffs(0)
+    x = trace.coeffs[0]
     n = np.arange(trace.order)
     total = np.pi * trace.geometry.windows[0].half_width ** 2 * np.sum((n + 1) * x * x)
     total += np.sum(weights * (e * e + o * o) * _grad_sub(nodes, trace.lam, trace.geometry.d)) / np.pi
@@ -231,7 +217,7 @@ def _mode_amplitudes(trace: TraceFunction, x1: float, strip_width: float):
     kappas = np.sqrt((rate * j) ** 2 - lam)
     t = np.zeros(j_cap)
     for i, w in enumerate(geometry.windows):
-        x = trace.window_coeffs(i)
+        x = trace.coeffs[i]
         sigma = 1.0 if x1 > w.center else -1.0
         signs = sigma ** np.arange(trace.order)
         (moments,) = _scaled_moments([w.half_width], trace.order, kappas)
@@ -314,15 +300,14 @@ def modal_coeffs(
 def _mirror_coeffs(trace: TraceFunction) -> np.ndarray | None:
     """Coefficients of the x1-reflected trace, or None if not symmetric."""
     windows = trace.geometry.windows
-    n = np.arange(trace.order)
-    flip = (-1.0) ** n
-    if len(windows) == 1:
-        return trace.window_coeffs(0) * flip
     if len(windows) == 2:
         w0, w1 = windows
-        if abs(w0.center + w1.center) < 1e-12 and abs(w0.half_width - w1.half_width) < 1e-12:
-            return np.concatenate([trace.window_coeffs(1) * flip, trace.window_coeffs(0) * flip])
-    return None
+        if abs(w0.center + w1.center) >= 1e-12 or abs(w0.half_width - w1.half_width) >= 1e-12:
+            return None
+    elif len(windows) != 1:
+        return None
+    # the reflection reverses the window order and flips the sign of odd orders
+    return (trace.coeffs[::-1] * (-1.0) ** np.arange(trace.order)).ravel()
 
 
 def normalize_mode(
@@ -337,7 +322,7 @@ def normalize_mode(
     significant coefficient of the first window positive; repeated application
     returns the input unchanged.
     """
-    flat = trace.flat()
+    flat = trace.coeffs.ravel()
     scale = np.max(np.abs(flat))
     if scale == 0.0:
         raise DegenerateInputError("zero trace cannot be normalized")
@@ -348,24 +333,16 @@ def normalize_mode(
         raise DegenerateInputError("trace has numerically zero field norm")
 
     factor = 1.0 if abs(nrm - 1.0) <= 1e-12 else 1.0 / nrm
-    x0 = trace.window_coeffs(0) * factor
-    significant = np.nonzero(np.abs(x0) > 1e-12 * np.max(np.abs(flat * factor)))[0]
-    if significant.size and x0[significant[0]] < 0.0:
-        factor = -factor
+    x = trace.coeffs * factor
+    significant = np.nonzero(np.abs(x[0]) > 1e-12 * np.max(np.abs(x)))[0]
+    if significant.size and x[0, significant[0]] < 0.0:
+        x = -x
 
-    if factor == 1.0:
-        normalized = dataclasses.replace(trace, normalized=True)
-    else:
-        blocks = tuple(
-            tuple(trace.window_coeffs(i) * factor)
-            for i in range(len(trace.geometry.windows))
-        )
-        normalized = TraceFunction(trace.lam, trace.geometry, blocks, True)
-
+    normalized = TraceFunction(trace.lam, trace.geometry, x, True)
     mirror = _mirror_coeffs(normalized)
     parity = "none"
     if mirror is not None:
-        nf = normalized.flat()
+        nf = normalized.coeffs.ravel()
         denom = np.linalg.norm(nf)
         leak_even = np.linalg.norm(nf - mirror) / (2.0 * denom)
         leak_odd = np.linalg.norm(nf + mirror) / (2.0 * denom)
@@ -393,7 +370,7 @@ def coeff_c(mode: Eigenmode) -> float:
     w = windows[0]
     lam = trace.lam
     kappa = mode_kappa(1, lam, np.pi)
-    x = trace.window_coeffs(0)
+    x = trace.coeffs[0]
     m_plus = float(x @ assemble_exp_rhs(lam, w, kappa, +1, trace.order))
     m_minus = float(x @ assemble_exp_rhs(lam, w, kappa, -1, trace.order))
     if mode.parity in ("even", "odd"):
@@ -423,8 +400,7 @@ def solve_U(
     """
     settings = settings or SolverSettings()
     geometry = Geometry(d, (WindowSpec(0.0, a),))
-    system = assemble_galerkin(lam, geometry, settings)
-    m = system.matrix
+    m = assemble_galerkin(lam, geometry, settings)
     vals, vecs = np.linalg.eigh(m)
     if np.min(np.abs(vals)) <= 1e-10 * np.max(np.abs(m)):
         raise ResolventPoleError(
@@ -437,7 +413,7 @@ def solve_U(
     if resid > 1e-10 * max(np.linalg.norm(g), 1e-300):
         raise NumericalFailureError(f"solve residual {resid:.3e} unexpectedly large")
     c = float(g @ x) / (np.pi * kappa)
-    trace = TraceFunction(lam, geometry, (tuple(x),))
+    trace = TraceFunction(lam, geometry, x[None])
     energy_residual = abs(lam * _field_sq(trace) - _grad_sq(trace) - np.pi * kappa * c)
     return USolution(lam, trace, c, energy_residual)
 
@@ -448,7 +424,8 @@ def compute_modes(geometry: Geometry, settings: SolverSettings | None = None) ->
     roots = scan_eigenvalues(geometry, settings)
     modes = []
     for i, root in enumerate(roots):
-        mode = normalize_mode(trace_from_root(root, geometry), index=i + 1, settings=settings)
+        trace = TraceFunction(root.lam, geometry, root.coeffs)
+        mode = normalize_mode(trace, index=i + 1, settings=settings)
         if len(geometry.windows) == 1 and mode.parity != "none":
             mode = dataclasses.replace(mode, c_coeff=coeff_c(mode))
         modes.append(mode)

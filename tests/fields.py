@@ -114,7 +114,7 @@ def fourier_grid(trace, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     eo_parts = []
     for i, w in enumerate(geometry.windows):
         beta = beta_matrix(w.half_width, trace.order, nodes)
-        eo_parts.append((w.center, *_eo(trace.window_coeffs(i), beta)))
+        eo_parts.append((w.center, *_eo(trace.coeffs[i], beta)))
 
     out = np.empty((x1.size, x2.size))
     chunk = max(1, int(4e6 // nodes.size))

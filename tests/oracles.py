@@ -177,7 +177,7 @@ def scan_reassembling_roots(geometry, settings) -> list:
 
     def branches(lam: float) -> np.ndarray:
         lam = float(lam)
-        values = np.linalg.eigvalsh(assemble_galerkin(lam, geometry, settings).matrix)
+        values = np.linalg.eigvalsh(assemble_galerkin(lam, geometry, settings))
         samples.append((lam, values))
         return values
 
@@ -191,10 +191,11 @@ def scan_reassembling_roots(geometry, settings) -> list:
         lam_star = float(
             spectral._brent(lambda lam: branches(lam)[k], a, b, fa, fb, settings.bisect_tol)
         )
-        matrix = assemble_galerkin(lam_star, geometry, settings).matrix
+        matrix = assemble_galerkin(lam_star, geometry, settings)
         evals, evecs = np.linalg.eigh(matrix)
         residual = abs(evals[k]) / max(np.max(np.abs(matrix)), 1e-300)
-        roots.append(spectral.ScanRoot(lam_star, evecs[:, k].copy(), float(residual)))
+        coeffs = evecs[:, k].reshape(len(geometry.windows), -1).copy()
+        roots.append(spectral.ScanRoot(lam_star, coeffs, float(residual)))
     return roots
 
 
@@ -578,7 +579,7 @@ def brute_force_field_norm(trace, extent: float = 25.0, sliver: float = 1e-2):
     field = evaluate_field_grid(trace, x1, x2)
     column = (field * field) @ wx2
 
-    coeffs = np.asarray(trace.window_coeffs(0))
+    coeffs = trace.coeffs[0]
     inside = np.abs(x1) < a
     phi = np.zeros_like(x1)
     basis_sum = np.zeros(inside.sum())

@@ -121,7 +121,7 @@ def test_criterion_3_parity_alternation(spectral_modes, modes_multi):
     for modes in families:
         for k, mode in enumerate(modes[: min(4, len(modes))]):
             labels_ok = labels_ok and mode.parity == ("even" if k % 2 == 0 else "odd")
-            coeffs = np.asarray(mode.trace.window_coeffs(0))
+            coeffs = mode.trace.coeffs[0]
             total = np.linalg.norm(coeffs)
             wrong = coeffs[1::2] if k % 2 == 0 else coeffs[0::2]
             worst = max(worst, float(np.linalg.norm(wrong) / total))

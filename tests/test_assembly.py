@@ -16,7 +16,7 @@ from winguide.assembly import (
     sub_symbol,
     tail_estimate,
 )
-from winguide.errors import ThresholdError
+from winguide.errors import AccuracyError, ThresholdError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
 from winguide.specfun import norm_weight
 
@@ -66,7 +66,7 @@ def test_exp_rhs_orientation_flips_odd_entries():
 def test_galerkin_exact_symmetry():
     geometry, settings = _single()
     system = assemble_galerkin(0.5, geometry, settings)
-    assert np.array_equal(system.matrix, system.matrix.T)
+    assert np.array_equal(system, system.T)
 
 
 def test_galerkin_translation_invariance():
@@ -78,8 +78,8 @@ def test_galerkin_translation_invariance():
     shifted = assemble_galerkin(
         0.5, Geometry(d=d, windows=(WindowSpec(7.3, 1.0),)), settings
     )
-    scale = np.abs(centered.matrix).max()
-    assert np.abs(centered.matrix - shifted.matrix).max() <= 1e-14 * scale
+    scale = np.abs(centered).max()
+    assert np.abs(centered - shifted).max() <= 1e-14 * scale
 
 
 def test_galerkin_two_window_block_structure():
@@ -94,12 +94,12 @@ def test_galerkin_two_window_block_structure():
     )
     n = settings.basis_order
     first, second = slice(0, n), slice(n, 2 * n)
-    a_block = double.matrix[first, first]
-    b_block = double.matrix[first, second]
-    scale = np.abs(single.matrix).max()
-    assert np.abs(a_block - single.matrix).max() <= 1e-12 * scale
-    assert np.abs(double.matrix[second, second] - single.matrix).max() <= 1e-12 * scale
-    assert np.abs(double.matrix[second, first] - b_block.T).max() == 0.0
+    a_block = double[first, first]
+    b_block = double[first, second]
+    scale = np.abs(single).max()
+    assert np.abs(a_block - single).max() <= 1e-12 * scale
+    assert np.abs(double[second, second] - single).max() <= 1e-12 * scale
+    assert np.abs(double[second, first] - b_block.T).max() == 0.0
     # the coupling block is exponentially small against the diagonal
     assert np.abs(b_block).max() < 1e-2 * scale
 
@@ -114,7 +114,7 @@ def test_positive_definite_below_ground_state():
     # lambda-1 of this geometry is about 0.9349, so 0.5 is safely below it.
     geometry, settings = _single()
     system = assemble_galerkin(0.5, geometry, settings)
-    np.linalg.cholesky(system.matrix)
+    np.linalg.cholesky(system)
 
 
 def test_smallest_eigenvalue_decreasing_in_lambda():
@@ -123,7 +123,7 @@ def test_smallest_eigenvalue_decreasing_in_lambda():
     mins = []
     for lam in lams:
         system = assemble_galerkin(float(lam), geometry, settings)
-        mins.append(np.linalg.eigvalsh(system.matrix)[0])
+        mins.append(np.linalg.eigvalsh(system)[0])
     assert all(b < a for a, b in zip(mins, mins[1:]))
 
 
@@ -133,7 +133,7 @@ def test_quadrature_convergence_on_panel_points():
     fine = assemble_galerkin(
         0.5, geometry, SolverSettings(basis_order=12, panel_points=48)
     )
-    assert np.abs(base.matrix - fine.matrix).max() <= 1e-12
+    assert np.abs(base - fine).max() <= 1e-12
 
 
 def test_tail_estimate_bounds_observed_change():
@@ -143,11 +143,22 @@ def test_tail_estimate_bounds_observed_change():
     wide = assemble_galerkin(
         0.5, geometry, SolverSettings(basis_order=order, xi_max=400.0)
     )
-    observed = np.abs(base.matrix - wide.matrix)
+    observed = np.abs(base - wide)
     for n in range(order):
         for m in range(order):
             assert tail_estimate(0.5, 1.0, 200.0, 2.0, n, m) >= observed[n, m]
-    assert base.tail_bound >= observed.max()
+    assert tail_estimate(0.5, 1.0, 200.0, 2.0, order - 1, order - 1) >= observed.max()
+
+
+def test_tail_beyond_tolerance_raises_accuracy_error():
+    # at xi_max = 50 the order-31 tail bound is 2.9e-7 > 1e-8; the error carries it
+    geometry, _ = _single()
+    with pytest.raises(AccuracyError) as info:
+        assemble_galerkin(0.9, geometry, SolverSettings(basis_order=32, xi_max=50.0))
+    diagnostics = info.value.diagnostics
+    assert diagnostics["tail_bound"] == tail_estimate(0.9, 1.0, 50.0, 2.0, 31, 31)
+    assert diagnostics["tail_bound"] == pytest.approx(2.9e-7, rel=0.01)
+    assert diagnostics["xi_max"] == 50.0
 
 
 def test_basis_overlap_gram_matches_quadrature():
@@ -202,8 +213,8 @@ def _norm_case(case):
 def test_norm_matrix_is_minus_lambda_derivative(case):
     lam, geometry = _norm_case(case)
     h = 1e-4
-    upper = assemble_galerkin(lam + h, geometry, _NORM_SETTINGS).matrix
-    lower = assemble_galerkin(lam - h, geometry, _NORM_SETTINGS).matrix
+    upper = assemble_galerkin(lam + h, geometry, _NORM_SETTINGS)
+    lower = assemble_galerkin(lam - h, geometry, _NORM_SETTINGS)
     gram = norm_matrix(lam, geometry, _NORM_SETTINGS)
     central = -(upper - lower) / (2.0 * h)
     assert np.abs(gram - central).max() <= 1e-6 * np.abs(gram).max()
@@ -297,7 +308,7 @@ def test_mirrored_pair_matches_window_by_window_assembly():
         g = oracles.block_matrix_per_window(
             lam, geometry, settings, assembly._diagonal_norm_block, assembly._cross_norm_block
         )
-        assert assemble_galerkin(lam, geometry, settings).matrix.tobytes() == m.tobytes()
+        assert assemble_galerkin(lam, geometry, settings).tobytes() == m.tobytes()
         assert norm_matrix(lam, geometry, settings).tobytes() == g.tobytes()
 
 
@@ -338,7 +349,7 @@ def test_assembly_independent_of_far_field_cache_order():
         for d in order:
             geometry = Geometry(d=d, windows=windows)
             out[d] = (
-                assemble_galerkin(0.6, geometry, settings).matrix.tobytes(),
+                assemble_galerkin(0.6, geometry, settings).tobytes(),
                 norm_matrix(0.6, geometry, settings).tobytes(),
             )
         runs.append(out)

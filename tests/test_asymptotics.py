@@ -105,7 +105,7 @@ def test_simple_prediction_bundle():
     assert pred.kind == "simple"
     assert pred.mu is None
     printed, derived = pred.mu_variants
-    tau_pi_kappa = pred.tau * math.pi * pred.kappa
+    tau_pi_kappa = decay_params(0.885, 2.0)[2] * math.pi * pred.kappa
     assert printed == pytest.approx(tau_pi_kappa * 0.45 * 0.97 ** 2, rel=1e-13)
     assert derived == pytest.approx(-tau_pi_kappa * 0.45 ** 2 * 0.97, rel=1e-13)
     out = pred.predicted(3.0)
@@ -124,7 +124,7 @@ def test_double_prediction_bundle():
     shift = abs(pred.mu) * math.exp(-2.0 * pred.kappa * 6.0)
     assert plus == pytest.approx(LAMBDA1_A1_D2 + shift, abs=1e-15)
     assert minus == pytest.approx(LAMBDA1_A1_D2 - shift, abs=1e-15)
-    assert pred.rho == pytest.approx(
+    assert decay_params(pred.lambda_star, 2.0)[1] == pytest.approx(
         min(math.sqrt(math.pi ** 2 / 4.0 - pred.lambda_star),
             math.sqrt(4.0 - pred.lambda_star)),
         abs=1e-14,

@@ -169,6 +169,19 @@ def test_coeff_c_exit_codes(single_cfg, capsys):
     assert "numerical failure" in err
 
 
+def test_modes_quadrature_tail_exit_three(tmp_path, capsys):
+    # xi_max = 50 is a valid setting, but its tail bound fails near the threshold
+    path = tmp_path / "short.json"
+    document = {
+        "d": 2.0,
+        "windows": [{"center": 0.0, "half_width": 1.0}],
+        "settings": {"basis_order": 32, "quadrature": {"xi_max": 50.0}},
+    }
+    path.write_text(json.dumps(document))
+    assert main(["modes", str(path)]) == 3
+    assert "quadrature tail" in capsys.readouterr().err
+
+
 def test_bad_config_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["modes", missing]) == 2

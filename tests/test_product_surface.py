@@ -1,5 +1,5 @@
-"""Every public function or class in src/, and every attribute a src/ class stores on
-`self`, is reached by the product, not only by tests."""
+"""Every public function or class in src/, every attribute a src/ class stores on
+`self`, and every dataclass field is reached by the product, not only by tests."""
 
 import ast
 import pathlib
@@ -64,6 +64,16 @@ def test_no_public_src_function_is_reached_only_by_tests():
     assert _reached_only_by_tests() == ALLOWED
 
 
+def _loaded_attributes(modules: dict[str, ast.Module], bench: list[ast.Module]) -> set[str]:
+    """Names of every attribute load in src/winguide and the non-test winbench files."""
+    return {
+        sub.attr
+        for tree in [*modules.values(), *bench]
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
 def _attributes_stored_never_loaded() -> set[str]:
     """Attributes that src/ classes store on `self` but no product code reads.
 
@@ -71,12 +81,7 @@ def _attributes_stored_never_loaded() -> set[str]:
     winbench file other than its tests.
     """
     modules, bench = _product_trees()
-    loaded = {
-        sub.attr
-        for tree in [*modules.values(), *bench]
-        for sub in ast.walk(tree)
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-    }
+    loaded = _loaded_attributes(modules, bench)
     unread = set()
     for stem, tree in modules.items():
         for cls in ast.walk(tree):
@@ -97,3 +102,46 @@ def _attributes_stored_never_loaded() -> set[str]:
 def test_no_attribute_stored_on_self_is_read_only_by_tests():
     # an attribute that only tests read belongs in tests/, computed there
     assert _attributes_stored_never_loaded() == set()
+
+
+# Written whole by dataclasses.asdict, so every field reaches the output; and
+# the modal sections that only tests reach (ALLOWED's modal_coeffs).
+READ_WHOLE = {"ReportBundle", "SweepRecord", "FitResult", "WindowSpec", "ModalCoefficients"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(node, ast.Name) and node.id == "dataclass"
+        for deco in cls.decorator_list
+        for node in ast.walk(deco)
+    )
+
+
+def _dataclass_fields_never_loaded() -> set[str]:
+    """Fields of src/ dataclasses that no product code reads.
+
+    A read is an attribute load of the field's name in product code, as for
+    attributes on `self`. The scan matches names only: a field counts as read
+    when any object's attribute of that name is loaded, for example a method
+    of the same name on another class.
+    """
+    modules, bench = _product_trees()
+    loaded = _loaded_attributes(modules, bench)
+    unread = set()
+    for stem, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls) or cls.name in READ_WHOLE:
+                continue
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in loaded
+                ):
+                    unread.add(f"{stem}.{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def test_no_dataclass_field_is_read_only_by_tests():
+    # a field that only tests read belongs in tests/, computed there
+    assert _dataclass_fields_never_loaded() == set()

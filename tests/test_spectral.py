@@ -10,7 +10,7 @@ import oracles
 from oracles import jacobi_eig
 from winguide import assembly, spectral
 from winguide.assembly import assemble_galerkin
-from winguide.errors import ThresholdError, ValidationError
+from winguide.errors import NumericalFailureError, ThresholdError, ValidationError
 from winguide.geometry import Geometry, SolverSettings, WindowSpec
 from winguide.spectral import scan_eigenvalues
 from winguide.waveguide import compute_modes
@@ -94,7 +94,7 @@ def test_scan_parity_alternation_wide_window():
     roots = scan_eigenvalues(geometry, SolverSettings())
     assert len(roots) == 2
     for k, root in enumerate(roots):
-        coeffs = np.asarray(root.coeffs)
+        coeffs = root.coeffs.ravel()
         total = np.linalg.norm(coeffs)
         leak = np.linalg.norm(coeffs[1::2]) if k % 2 == 0 else np.linalg.norm(coeffs[0::2])
         assert leak <= 1e-8 * total
@@ -115,7 +115,7 @@ def test_scan_finds_mode_just_below_threshold(half_width, lam_high):
 
 
 def _inertia(lam: float, geometry: Geometry, solver: SolverSettings) -> int:
-    matrix = assemble_galerkin(lam, geometry, solver).matrix
+    matrix = assemble_galerkin(lam, geometry, solver)
     return int(np.count_nonzero(np.linalg.eigvalsh(matrix) <= 0.0))
 
 
@@ -174,6 +174,27 @@ def test_scan_assembles_each_lambda_once(monkeypatch, windows):
         assert got.lam == ref.lam
         assert got.coeffs.tobytes() == ref.coeffs.tobytes()
         assert got.residual == ref.residual
+
+
+def test_scan_and_mode_coefficients_are_read_only_window_rows():
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)))
+    roots = scan_eigenvalues(geometry, SolverSettings())
+    modes = compute_modes(geometry, SolverSettings())
+    assert len(roots) == len(modes) >= 2
+    for coeffs in [r.coeffs for r in roots] + [m.trace.coeffs for m in modes]:
+        assert coeffs.shape == (2, 32) and coeffs.dtype == np.float64
+        assert not coeffs.flags.writeable
+
+
+def test_scan_rejects_root_with_large_branch_residual(monkeypatch):
+    # nu jumps from +1e-5 to -1e-5 at lambda = 0.5: Brent's root keeps |nu| = 1e-5
+    def step(lam, geometry, settings):
+        return np.diag([1e-5 if lam < 0.5 else -1e-5, 1.0])
+
+    monkeypatch.setattr(spectral, "assemble_galerkin", step)
+    geometry = Geometry(d=2.0, windows=(WindowSpec(0.0, 1.0),))
+    with pytest.raises(NumericalFailureError, match="branch residual 1.000e-05"):
+        scan_eigenvalues(geometry, SolverSettings())
 
 
 def test_eigenvalues_invariant_under_reflection():

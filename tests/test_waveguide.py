@@ -54,7 +54,7 @@ def modes_wide():
 
 def _scaled(trace, factor):
     coeffs = tuple(
-        tuple(factor * c for c in trace.window_coeffs(i))
+        tuple(factor * c for c in trace.coeffs[i])
         for i in range(len(trace.geometry.windows))
     )
     return TraceFunction(trace.lam, trace.geometry, coeffs)
@@ -168,12 +168,42 @@ def test_modal_coeffs_section_too_close(mode1):
 
 def test_normalize_mode_contracts(mode1):
     renorm = normalize_mode(mode1.trace)
-    assert renorm.trace == mode1.trace
+    fields = ("lam", "geometry", "normalized")
+    assert [getattr(renorm.trace, f) for f in fields] == [getattr(mode1.trace, f) for f in fields]
+    assert renorm.trace.coeffs.tobytes() == mode1.trace.coeffs.tobytes()
     flipped = normalize_mode(_scaled(mode1.trace, -5.0))
-    assert np.allclose(flipped.trace.flat(), mode1.trace.flat(), rtol=0, atol=1e-12)
+    assert np.allclose(flipped.trace.coeffs.ravel(), mode1.trace.coeffs.ravel(), rtol=0, atol=1e-12)
     assert field_norm(mode1.trace) == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(DegenerateInputError):
         normalize_mode(_scaled(mode1.trace, 0.0))
+
+
+@pytest.mark.parametrize(
+    "sign, perturbation, parity",
+    [(1.0, 1e-8, "even"), (1.0, 1e-4, "none"), (-1.0, 1e-8, "odd"), (-1.0, 1e-4, "none")],
+)
+def test_normalize_mode_parity_leakage_threshold(mode1, sign, perturbation, parity):
+    # a +-4 pair trace (x0, +-(-1)^n x0 + e), |x0| = 0.2: the mirror leakage is about 14 e
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)))
+    x0 = mode1.trace.coeffs[0]
+    x1 = sign * (-1.0) ** np.arange(x0.size) * x0 + perturbation
+    trace = TraceFunction(mode1.lam, geometry, np.stack([x0, x1]))
+    assert normalize_mode(trace).parity == parity
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        ((1.0, 0.0),),                   # one block for two windows
+        ((1.0, 0.0), (1.0,)),            # ragged blocks
+        ((), ()),                        # empty blocks
+    ],
+    ids=["block-count", "ragged", "empty"],
+)
+def test_trace_function_rejects_malformed_blocks(coeffs):
+    geometry = Geometry(d=2.0, windows=(WindowSpec(-4.0, 1.0), WindowSpec(4.0, 1.0)))
+    with pytest.raises(ValidationError):
+        TraceFunction(0.9, geometry, coeffs)
 
 
 def test_mode_regression_values(mode1, modes_wide):
@@ -199,7 +229,7 @@ def test_coeff_c_parity_self_check(modes_wide):
     for mode in modes_wide:
         w = mode.trace.geometry.windows[0]
         kappa = mode_kappa(1, mode.lam, math.pi)
-        x = np.asarray(mode.trace.window_coeffs(0))
+        x = mode.trace.coeffs[0]
         m_plus = float(x @ assemble_exp_rhs(mode.lam, w, kappa, +1, mode.trace.order))
         m_minus = float(x @ assemble_exp_rhs(mode.lam, w, kappa, -1, mode.trace.order))
         sign = 1.0 if mode.index % 2 == 1 else -1.0
@@ -236,7 +266,7 @@ def test_solve_u_matches_spectral_inverse():
     system = assemble_galerkin(lam, geometry, settings)
     kappa = mode_kappa(1, lam, math.pi)
     g = assemble_exp_rhs(lam, geometry.windows[0], kappa, +1, settings.basis_order)
-    dec = jacobi_eig(system.matrix)
+    dec = jacobi_eig(system)
     inverse_quad = float((dec.vectors.T @ g) ** 2 @ (1.0 / dec.values))
     c_spectral = -inverse_quad / (math.pi * kappa)
     assert solve_U(lam, a, d).c == pytest.approx(c_spectral, abs=1e-10)
